@@ -81,19 +81,11 @@ bench:
 	$(GO) test -run XXX -bench BenchmarkManagerIngest -benchmem ./internal/manager/
 
 # benchsmoke runs every benchmark exactly once so they can't rot; it makes
-# no timing claims (use `make bench` or `make bench-record` for numbers).
+# no timing claims (use `make bench` for numbers).
 .PHONY: benchsmoke
 benchsmoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./internal/core/ ./internal/manager/ \
 		./internal/tsg/ ./internal/stats/ ./internal/louvain/
-
-# bench-record measures batch vs incremental vs manager(-wal) ingest at
-# n=100/500/1000 and rewrites the committed baseline. Commit the diff
-# alongside perf changes so speedup claims are reviewable:
-#   make bench-record && git diff BENCH_ingest.json
-.PHONY: bench-record
-bench-record:
-	$(GO) run ./cmd/benchrecord -out BENCH_ingest.json
 
 # scenariotest is the detection-quality gate: a fast, pinned-seed subset of
 # the scenario corpus re-runs the gate config from BENCH_scenarios.json and

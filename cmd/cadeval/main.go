@@ -1,11 +1,10 @@
 // Command cadeval runs the scenario × config evaluation matrix and records
 // the result as a JSON baseline checked into the repository
-// (BENCH_scenarios.json) — the quality counterpart of benchrecord's
-// BENCH_ingest.json speed baseline.
+// (BENCH_scenarios.json) — the detection-quality baseline.
 //
 // Every corpus scenario (internal/scenario) is streamed through every
 // detector config variant; each cell reports DaE quality metrics (DPA-F1,
-// Ahead/Miss vs the batch reference, detection delay, false-alarm rate,
+// Ahead/Miss vs the reference variant, detection delay, false-alarm rate,
 // sensor-localization F1) plus rounds/sec. All quality metrics are
 // deterministic under the scenarios' pinned seeds; only roundsPerSec varies
 // between machines. The artifact also records a per-scenario DPA-F1 floor
@@ -22,7 +21,7 @@
 // Usage:
 //
 //	cadeval -out BENCH_scenarios.json
-//	cadeval -scenarios crash-loop,oom-kill -configs batch,incremental -out /dev/stdout
+//	cadeval -scenarios crash-loop,oom-kill -configs incremental,fixed-xi -out /dev/stdout
 //	cadeval -fleet [-fleet-streams 32]
 package main
 

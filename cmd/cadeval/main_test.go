@@ -35,17 +35,17 @@ func TestPickVariants(t *testing.T) {
 	}
 	// Filters keep grid order regardless of the filter's order, so the
 	// first kept variant stays the Ahead/Miss reference.
-	picked, err := pickVariants("incremental,batch", "incremental")
+	picked, err := pickVariants("fixed-xi,incremental", "incremental")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(picked) != 2 || picked[0].Name != "batch" || picked[1].Name != "incremental" {
+	if len(picked) != 2 || picked[0].Name != "incremental" || picked[1].Name != "fixed-xi" {
 		t.Fatalf("picked = %v", picked)
 	}
-	if _, err := pickVariants("batch,bogus", "batch"); err == nil || !strings.Contains(err.Error(), "unknown config") {
+	if _, err := pickVariants("incremental,bogus", "incremental"); err == nil || !strings.Contains(err.Error(), "unknown config") {
 		t.Fatalf("unknown config error = %v", err)
 	}
-	if _, err := pickVariants("batch", "incremental"); err == nil || !strings.Contains(err.Error(), "gate") {
+	if _, err := pickVariants("fixed-xi", "incremental"); err == nil || !strings.Contains(err.Error(), "gate") {
 		t.Fatalf("dropped-gate error = %v", err)
 	}
 }

@@ -219,11 +219,6 @@ func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64,
 		cfg.Tau = tau
 		cfg.Theta = theta
 		cfg.ApproxTSG = approx
-		if approx {
-			// ApproxTSG excludes the incremental hot path DefaultConfig
-			// turns on.
-			cfg.Incremental = false
-		}
 		if w > 0 && s > 0 {
 			cfg.Window = cad.Windowing{W: w, S: s}
 		}

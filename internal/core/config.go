@@ -99,19 +99,16 @@ type Config struct {
 	// ApproxSeed drives the HNSW level draws when ApproxTSG is set; with a
 	// fixed seed detection remains deterministic.
 	ApproxSeed int64
-	// Incremental switches the Streamer's round pipeline to the incremental
-	// hot path: the correlation matrix is maintained with O(n²) rank-one
-	// updates per column instead of the O(n²·w) per-round recompute, the TSG
-	// is repaired in place, and Louvain warm-starts from the previous
-	// round's partition. Exact mode only (incompatible with ApproxTSG);
-	// batch Detect/WarmUp are unaffected. DefaultConfig turns it on — the
-	// scenario matrix shows it decision-identical to the batch path — so
-	// zero the field explicitly to opt back into the per-round recompute.
+	// Incremental once chose between the Streamer's batch-recompute and
+	// incremental round pipelines.
+	//
+	// Deprecated: ignored; exact configs always stream incrementally.
 	Incremental bool
-	// RefreshEvery is the incremental path's exact-refresh cadence: every
-	// RefreshEvery rounds the correlation sums are recomputed from the raw
-	// window, discarding accumulated floating-point drift. Zero means the
-	// default of 64. Ignored unless Incremental is set.
+	// RefreshEvery is the streaming exact-refresh cadence: every
+	// RefreshEvery rounds the Streamer recomputes its sliding correlation
+	// sums from the raw window, discarding accumulated floating-point
+	// drift. Zero means the default of 64. Ignored under ApproxTSG, whose
+	// rounds rebuild from the window anyway.
 	RefreshEvery int
 	// DisableVariationRule switches the abnormal-round criterion from the
 	// 3σ rule on n_r to a fixed count |O_r| ≥ FixedXi (ablation of §IV-E's
@@ -124,11 +121,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-recommended configuration for an MTS with
 // n sensors and the given series length: w ≈ 0.02|T|, s ≈ 0.015w, τ = 0.5,
-// θ = 0.3, η = 3, k ≈ max(10, n/10) capped below n. The incremental hot
-// path is on by default (it is decision-identical to the batch pipeline on
-// the scenario corpus and strictly cheaper per column); callers that want
-// the batch recompute — or ApproxTSG, which excludes it — clear
-// Incremental explicitly.
+// θ = 0.3, η = 3, k ≈ max(10, n/10) capped below n.
 func DefaultConfig(n, length int) Config {
 	k := n / 10
 	if k < 10 {
@@ -141,17 +134,16 @@ func DefaultConfig(n, length int) Config {
 		k = 1
 	}
 	return Config{
-		Window:      mts.SuggestWindowing(length),
-		K:           k,
-		Tau:         0.5,
-		Theta:       0.3,
-		Eta:         3,
-		SigmaFloor:  0.5,
-		MinHistory:  8,
-		RCMode:      RCSliding,
-		RCHorizon:   10,
-		RCAlpha:     0.1,
-		Incremental: true,
+		Window:     mts.SuggestWindowing(length),
+		K:          k,
+		Tau:        0.5,
+		Theta:      0.3,
+		Eta:        3,
+		SigmaFloor: 0.5,
+		MinHistory: 8,
+		RCMode:     RCSliding,
+		RCHorizon:  10,
+		RCAlpha:    0.1,
 	}
 }
 
@@ -189,9 +181,6 @@ func (c Config) Validate(n int) error {
 	}
 	if c.DisableVariationRule && c.FixedXi < 1 {
 		return fmt.Errorf("%w: FixedXi=%d must be ≥ 1", ErrBadConfig, c.FixedXi)
-	}
-	if c.Incremental && c.ApproxTSG {
-		return fmt.Errorf("%w: Incremental and ApproxTSG are mutually exclusive", ErrBadConfig)
 	}
 	if c.RefreshEvery < 0 {
 		return fmt.Errorf("%w: RefreshEvery=%d must be ≥ 0", ErrBadConfig, c.RefreshEvery)

@@ -24,7 +24,8 @@ func ParseRCMode(s string) (RCMode, error) {
 // configJSON is the JSON wire format of Config, shared by POST /v1/streams
 // bodies and the caddetect/cadserve -config files. Field names are stable;
 // RCMode travels as its string name. Every field is always emitted so a
-// marshal→unmarshal round trip is lossless.
+// marshal→unmarshal round trip is lossless — except "incremental", which
+// older documents carry: it is accepted and discarded, and never emitted.
 type configJSON struct {
 	Window               windowingJSON `json:"window"`
 	K                    int           `json:"k"`
@@ -39,10 +40,11 @@ type configJSON struct {
 	RCAlpha              float64       `json:"rcAlpha"`
 	ApproxTSG            bool          `json:"approxTSG"`
 	ApproxSeed           int64         `json:"approxSeed"`
-	Incremental          bool          `json:"incremental"`
 	RefreshEvery         int           `json:"refreshEvery"`
 	DisableVariationRule bool          `json:"disableVariationRule"`
 	FixedXi              int           `json:"fixedXi"`
+	// Incremental is read and discarded (see Config.Incremental).
+	Incremental bool `json:"incremental,omitempty"`
 }
 
 type windowingJSON struct {
@@ -66,7 +68,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		RCAlpha:              c.RCAlpha,
 		ApproxTSG:            c.ApproxTSG,
 		ApproxSeed:           c.ApproxSeed,
-		Incremental:          c.Incremental,
 		RefreshEvery:         c.RefreshEvery,
 		DisableVariationRule: c.DisableVariationRule,
 		FixedXi:              c.FixedXi,
@@ -101,7 +102,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	c.RCAlpha = aux.RCAlpha
 	c.ApproxTSG = aux.ApproxTSG
 	c.ApproxSeed = aux.ApproxSeed
-	c.Incremental = aux.Incremental
 	c.RefreshEvery = aux.RefreshEvery
 	c.DisableVariationRule = aux.DisableVariationRule
 	c.FixedXi = aux.FixedXi

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -105,6 +107,35 @@ func TestConfigJSONWireFormat(t *testing.T) {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("wire format missing %q: %s", key, buf)
 		}
+	}
+	if _, ok := raw["incremental"]; ok {
+		t.Errorf("wire format still emits the retired \"incremental\" key: %s", buf)
+	}
+}
+
+// TestConfigJSONIncrementalKeyIgnored: documents written while
+// "incremental" chose the streaming pipeline keep loading, and the key no
+// longer opts a stream out of the incremental path.
+func TestConfigJSONIncrementalKeyIgnored(t *testing.T) {
+	doc := `{"window":{"w":30,"s":3},"k":3,"tau":0.4,"theta":0.2,"eta":3,"minHistory":8,"incremental":false}`
+	var cfg Config
+	if err := json.Unmarshal([]byte(doc), &cfg); err != nil {
+		t.Fatalf("Unmarshal(%s) = %v", doc, err)
+	}
+	det, err := NewDetector(8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := NewStreamer(det).SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var st persistedStreamer
+	if err := gob.NewDecoder(&snap).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if !st.HasAcc {
+		t.Fatal(`"incremental": false streamer saved no correlation accumulator`)
 	}
 }
 

@@ -248,19 +248,6 @@ func (d *Detector) Detect(t *mts.MTS) (*Result, error) {
 	if R == 0 {
 		return nil, fmt.Errorf("%w: series length %d too short for window w=%d", ErrBadConfig, t.Len(), wd.W)
 	}
-	return d.assemble(t, R, func(r int) (RoundReport, error) {
-		win, err := wd.Window(t, r)
-		if err != nil {
-			return RoundReport{}, err
-		}
-		return d.step(win)
-	})
-}
-
-// assemble drives the per-round reports into a Result: anomaly grouping,
-// point labels, and point scores. nextReport must advance the detector's
-// state for round r and return its report.
-func (d *Detector) assemble(t *mts.MTS, R int, nextReport func(r int) (RoundReport, error)) (*Result, error) {
 	res := &Result{
 		Rounds:      make([]RoundReport, 0, R),
 		PointScores: make([]float64, t.Len()),
@@ -269,12 +256,16 @@ func (d *Detector) assemble(t *mts.MTS, R int, nextReport func(r int) (RoundRepo
 	var open *Anomaly
 	sensorOnset := make(map[int]int)
 	for r := 0; r < R; r++ {
-		rep, err := nextReport(r)
+		win, err := wd.Window(t, r)
+		if err != nil {
+			return nil, fmt.Errorf("cad: round %d: %w", r, err)
+		}
+		rep, err := d.step(win)
 		if err != nil {
 			return nil, fmt.Errorf("cad: round %d: %w", r, err)
 		}
 		rep.Round = r
-		_, rep.WindowEnd = d.cfg.Window.Bounds(r)
+		_, rep.WindowEnd = wd.Bounds(r)
 		res.Rounds = append(res.Rounds, rep)
 
 		if rep.Abnormal {
@@ -305,7 +296,7 @@ func (d *Detector) assemble(t *mts.MTS, R int, nextReport func(r int) (RoundRepo
 	}
 	// Point scores: point t takes the score of the first round covering it.
 	for p := 0; p < t.Len(); p++ {
-		r := d.cfg.Window.RoundOf(p)
+		r := wd.RoundOf(p)
 		if r < 0 {
 			r = 0
 		}
@@ -366,8 +357,7 @@ func (d *Detector) pointSpan(r int) (from, to int) {
 }
 
 // partition runs the stateless half of Algorithm 1 — TSG construction and
-// community detection — for one window, timing each stage. It is safe to
-// call concurrently for different windows.
+// community detection — for one window, timing each stage.
 func (d *Detector) partition(win *mts.MTS) (louvain.Partition, StageTimings, error) {
 	var (
 		g   *tsg.Graph
@@ -391,8 +381,8 @@ func (d *Detector) partition(win *mts.MTS) (louvain.Partition, StageTimings, err
 }
 
 // ProcessCorr advances the detector by one round from a precomputed
-// correlation matrix — the incremental hot path used by Streamer when
-// Config.Incremental is set. The TSG is repaired in place rather than
+// correlation matrix — the incremental hot path Streamer runs for every
+// exact (non-ApproxTSG) config. The TSG is repaired in place rather than
 // rebuilt, and community detection warm-starts from the previous round's
 // partition. dirty is forwarded to tsg.Incremental.Repair (nil means treat
 // everything as changed, which is always safe).
@@ -433,7 +423,7 @@ func (d *Detector) partitionIncremental(corr [][]float64, dirty []bool) (louvain
 		// CommunitiesSeeded verifies it is still a local optimum in one
 		// cheap pass and reruns cold the moment anything moves. Rounds
 		// that churn edges — anomalies — always take the cold path, which
-		// keeps decisions aligned with the batch pipeline. The outlier-set
+		// keeps decisions aligned with Detect's cold rebuild. The outlier-set
 		// guard covers the remaining hazard: while an anomaly is in flight
 		// the weights swing hard enough that the seed and a cold start can
 		// be *different* vertex-stable local optima even on an identical
@@ -486,8 +476,8 @@ func (d *Detector) observedAdvance(part louvain.Partition, st StageTimings) Roun
 // outlier-set maintenance, and the abnormal-round rule — on an
 // already-computed partition.
 func (d *Detector) advance(part louvain.Partition) RoundReport {
-	// Round carries the global counter (warm-up included); Detect-style
-	// drivers overwrite it with the series-relative index in assemble.
+	// Round carries the global counter (warm-up included); Detect
+	// overwrites it with the series-relative index.
 	rep := RoundReport{Round: d.round, Communities: part.Count}
 
 	// Phase 2: co-appearance mining (Defs. 4–6). S_r(v) counts the other

@@ -28,10 +28,12 @@ type persistedStreamer struct {
 	// older snapshots, which is correct for them (they predate warmed-up
 	// streamer support for WindowEnd entirely).
 	Base int
-	// The incremental correlation accumulator, present iff the config runs
-	// the incremental path. The drifted live sums are persisted verbatim —
+	// The incremental correlation accumulator, present iff the config is
+	// exact (not ApproxTSG). The drifted live sums are persisted verbatim —
 	// recomputing them on load would diverge from an uninterrupted run at
-	// the last few ulps, breaking bit-identical replay.
+	// the last few ulps, breaking bit-identical replay. Snapshots written
+	// when exact configs could still stream by batch recompute carry no
+	// accumulator; LoadStreamer rebuilds it from Ring.
 	HasAcc   bool
 	AccRef   []float64
 	AccSX    []float64
@@ -103,13 +105,41 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 	s.started = st.Started
 	s.seq = st.Seq
 	s.base = st.Base
-	if st.HasAcc != (s.acc != nil) {
-		return nil, fmt.Errorf("%w: streamer snapshot accumulator presence %v, config says %v", ErrBadConfig, st.HasAcc, s.acc != nil)
-	}
-	if st.HasAcc && !s.acc.SetState(st.AccRef, st.AccSX, st.AccSXY, st.AccCount) {
-		return nil, fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
+	switch {
+	case st.HasAcc && s.acc == nil:
+		return nil, fmt.Errorf("%w: streamer snapshot carries a correlation accumulator, but its config sets ApproxTSG", ErrBadConfig)
+	case st.HasAcc:
+		if !s.acc.SetState(st.AccRef, st.AccSX, st.AccSXY, st.AccCount) {
+			return nil, fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
+		}
+	case s.acc != nil:
+		if err := s.rebuildAcc(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
+}
+
+// rebuildAcc derives the correlation accumulator of a snapshot that was
+// saved without one from the restored ring: a filling ring is pushed column
+// by column, exactly as the live stream would have, and a full one is
+// summed exactly in one refresh.
+func (s *Streamer) rebuildAcc() error {
+	w := s.det.cfg.Window.W
+	if s.filled < 0 || s.filled > w || s.pos < 0 || s.pos >= w || (s.filled < w && s.pos != s.filled) {
+		return fmt.Errorf("%w: streamer snapshot ring position %d with %d of %d columns filled", ErrBadConfig, s.pos, s.filled, w)
+	}
+	if s.filled == w {
+		s.acc.Refresh(s.window().Rows())
+		return nil
+	}
+	for p := 0; p < s.filled; p++ {
+		for i := range s.oldCol {
+			s.oldCol[i] = s.ring[i][p]
+		}
+		s.acc.Push(s.oldCol)
+	}
+	return nil
 }
 
 // persistedTracker is the gob wire format of a Tracker: the windowing it

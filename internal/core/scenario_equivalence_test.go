@@ -1,7 +1,7 @@
 package core_test
 
 // Scenario-driven decision equivalence: incremental_test.go proves the
-// batch ↔ incremental contract on synthetic and random-simulator data; this
+// streamer ↔ Detect contract on synthetic and random-simulator data; this
 // suite re-proves it on every named corpus scenario — real failure shapes
 // (restart loops, saturation, staggered cascades, regime tears), not just
 // random anomaly mixes. It lives in package core_test because the corpus
@@ -36,11 +36,12 @@ func replay(t *testing.T, inst *scenario.Instance, cfg core.Config) ([]core.Roun
 	return reps, tr.Drain()
 }
 
+// TestScenarioBatchIncrementalEquivalence streams every corpus scenario and
+// requires Detect's round decisions and anomaly records, the exact
+// per-round oracle.
 func TestScenarioBatchIncrementalEquivalence(t *testing.T) {
-	base := scenario.BaseConfig()
-	inc := base
-	inc.Incremental = true
-	inc.RefreshEvery = 7 // off the round cadence on purpose
+	cfg := scenario.BaseConfig()
+	cfg.RefreshEvery = 7 // off the round cadence on purpose
 
 	anyAbnormal := false
 	for _, s := range scenario.Corpus() {
@@ -50,33 +51,33 @@ func TestScenarioBatchIncrementalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bReps, bAnoms := replay(t, inst, base)
-			iReps, iAnoms := replay(t, inst, inc)
-
-			if len(bReps) != len(iReps) {
-				t.Fatalf("batch emitted %d rounds, incremental %d", len(bReps), len(iReps))
+			det, err := core.NewDetector(inst.Sensors, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range bReps {
-				if iReps[i].Abnormal != bReps[i].Abnormal {
-					t.Errorf("round %d: abnormal %v, batch %v", i, iReps[i].Abnormal, bReps[i].Abnormal)
+			want, err := det.Detect(inst.Series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps, anoms := replay(t, inst, cfg)
+
+			if len(reps) != len(want.Rounds) {
+				t.Fatalf("streamer emitted %d rounds, Detect %d", len(reps), len(want.Rounds))
+			}
+			for i, w := range want.Rounds {
+				g := reps[i]
+				if g.Abnormal != w.Abnormal || g.Variations != w.Variations || g.WindowEnd != w.WindowEnd ||
+					!reflect.DeepEqual(g.Outliers, w.Outliers) {
+					t.Errorf("round %d: streamer %+v, Detect %+v", i, g, w)
 				}
-				if !reflect.DeepEqual(iReps[i].Outliers, bReps[i].Outliers) {
-					t.Errorf("round %d: outliers %v, batch %v", i, iReps[i].Outliers, bReps[i].Outliers)
-				}
-				if iReps[i].Variations != bReps[i].Variations {
-					t.Errorf("round %d: variations %d, batch %d", i, iReps[i].Variations, bReps[i].Variations)
-				}
-				if iReps[i].WindowEnd != bReps[i].WindowEnd {
-					t.Errorf("round %d: windowEnd %d, batch %d", i, iReps[i].WindowEnd, bReps[i].WindowEnd)
-				}
-				if bReps[i].Abnormal {
+				if w.Abnormal {
 					anyAbnormal = true
 				}
 			}
 			// Identical round decisions must assemble into identical
 			// anomaly records.
-			if !reflect.DeepEqual(bAnoms, iAnoms) {
-				t.Errorf("anomalies differ:\nbatch       %+v\nincremental %+v", bAnoms, iAnoms)
+			if !reflect.DeepEqual(anoms, want.Anomalies) {
+				t.Errorf("anomalies differ:\nstreamer %+v\nDetect   %+v", anoms, want.Anomalies)
 			}
 		})
 	}
@@ -99,7 +100,6 @@ func TestScenarioRefreshCadenceInvariance(t *testing.T) {
 	var ref []core.RoundReport
 	for i, every := range []int{0, 1, 16, 97} {
 		cfg := scenario.BaseConfig()
-		cfg.Incremental = true
 		cfg.RefreshEvery = every
 		reps, _ := replay(t, inst, cfg)
 		if i == 0 {

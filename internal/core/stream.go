@@ -12,8 +12,10 @@ import (
 // whenever a full step of new columns has arrived (§IV-F "Generalization":
 // when a new round of data arrives, repeat Lines 6–11 of Algorithm 2). It
 // maintains the trailing window internally in a ring buffer, so callers only
-// push columns and each push costs O(n); the window is materialized once per
-// completed round, not per column.
+// push columns. Exact configs also maintain the window's correlation matrix
+// with an O(n²) rank-one update per column (stats.SlidingCorr), so a round
+// repairs the TSG instead of recomputing it at O(n²·w); ApproxTSG configs
+// materialize the window once per completed round and rebuild.
 //
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
@@ -40,16 +42,16 @@ type Streamer struct {
 	// WindowEnd stamping: a detector warmed up on R rounds starts the
 	// stream R·S columns "into" its own timeline.
 	base int
-	// acc maintains the sliding correlation sums on the incremental path
-	// (Config.Incremental); nil in batch mode. oldCol is scratch holding
-	// the column evicted from the ring by the current Push.
+	// acc maintains the sliding correlation sums of the incremental path,
+	// which every exact config runs; nil under ApproxTSG, whose rounds
+	// rebuild the TSG from the materialized window. oldCol is scratch
+	// holding the column evicted from the ring by the current Push.
 	acc          *stats.SlidingCorr
 	oldCol       []float64
 	refreshEvery int
-	// process runs one round; tests replace it to inject round failures.
-	process func(*mts.MTS) (RoundReport, error)
-	// processCorr is process's incremental-path counterpart.
-	processCorr func(corr [][]float64, dirty []bool) (RoundReport, error)
+	// round processes the round the ring now holds; tests replace it to
+	// inject round failures.
+	round func() (RoundReport, error)
 }
 
 // NewStreamer wraps det for streaming ingestion. The detector may already be
@@ -62,21 +64,23 @@ func NewStreamer(det *Detector) *Streamer {
 		ring[i] = backing[i*w : (i+1)*w]
 	}
 	s := &Streamer{
-		det:     det,
-		ring:    ring,
-		win:     mts.Zeros(n, w),
-		base:    det.round * det.cfg.Window.S,
-		process: det.ProcessWindow,
+		det:  det,
+		ring: ring,
+		win:  mts.Zeros(n, w),
+		base: det.round * det.cfg.Window.S,
 	}
-	if det.cfg.Incremental {
-		s.acc = stats.NewSlidingCorr(n, w)
-		s.oldCol = make([]float64, n)
-		s.refreshEvery = det.cfg.RefreshEvery
-		if s.refreshEvery <= 0 {
-			s.refreshEvery = 64
-		}
-		s.processCorr = det.ProcessCorr
+	if det.cfg.ApproxTSG {
+		// HNSW has no incremental form: each round rebuilds from the window.
+		s.round = func() (RoundReport, error) { return det.ProcessWindow(s.window()) }
+		return s
 	}
+	s.acc = stats.NewSlidingCorr(n, w)
+	s.oldCol = make([]float64, n)
+	s.refreshEvery = det.cfg.RefreshEvery
+	if s.refreshEvery <= 0 {
+		s.refreshEvery = 64
+	}
+	s.round = s.processCorr
 	return s
 }
 
@@ -143,18 +147,7 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	if s.filled < w || s.pending < need {
 		return RoundReport{}, false, nil
 	}
-	if s.acc != nil {
-		// Periodic exact refresh bounds the accumulator's floating-point
-		// drift. The cadence keys off the persisted round counter, so a
-		// restored streamer refreshes at exactly the same rounds a
-		// never-interrupted one would — required for bit-identical replay.
-		if s.det.round%s.refreshEvery == 0 {
-			s.acc.Refresh(s.window().Rows())
-		}
-		rep, err = s.processCorr(s.acc.Corr(), nil)
-	} else {
-		rep, err = s.process(s.window())
-	}
+	rep, err = s.round()
 	if err != nil {
 		// Leave pending/started untouched so the round is retried on the
 		// next push instead of being silently dropped.
@@ -167,6 +160,19 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	// Bounds(round).to, keeping downstream time attribution honest.
 	rep.WindowEnd = s.base + int(s.seq)
 	return rep, true, nil
+}
+
+// processCorr runs one round on the incremental path: the maintained
+// correlation matrix goes straight to the detector's TSG repair.
+func (s *Streamer) processCorr() (RoundReport, error) {
+	// Periodic exact refresh bounds the accumulator's floating-point drift.
+	// The cadence keys off the persisted round counter, so a restored
+	// streamer refreshes at exactly the same rounds a never-interrupted one
+	// would — required for bit-identical replay.
+	if s.det.round%s.refreshEvery == 0 {
+		s.acc.Refresh(s.window().Rows())
+	}
+	return s.det.ProcessCorr(s.acc.Corr(), nil)
 }
 
 // window unrolls the ring into s.win in chronological order and returns it.

@@ -11,9 +11,10 @@ import (
 
 // TestStreamerPushRecoversFromFailedRound is the regression test for the
 // streaming-state corruption bug: Push used to commit pending=0/started=true
-// *before* ProcessWindow ran, so a failed round was silently dropped and the
+// *before* the round ran, so a failed round was silently dropped and the
 // next round fired after only s columns. With the fix the failed round is
-// retried on the very next push and the cadence stays intact.
+// retried on the very next push, the cadence stays intact, and the retried
+// round's WindowEnd reflects the extra column the window slid past.
 func TestStreamerPushRecoversFromFailedRound(t *testing.T) {
 	series := synth(11, 3, 4, 400, nil, -1, -1)
 	det, err := NewDetector(12, testConfig()) // w=40, s=4
@@ -24,21 +25,22 @@ func TestStreamerPushRecoversFromFailedRound(t *testing.T) {
 
 	errBoom := errors.New("boom")
 	calls := 0
-	real := sr.process
-	sr.process = func(win *mts.MTS) (RoundReport, error) {
+	real := sr.round
+	sr.round = func() (RoundReport, error) {
 		calls++
 		if calls == 3 { // fail the third round attempt (tick 48) once
 			return RoundReport{}, errBoom
 		}
-		return real(win)
+		return real()
 	}
 
 	var completed []int // 1-based tick of each completed round
+	var ends []int
 	var failedAt []int
 	col := make([]float64, 12)
 	for p := 0; p < 80; p++ {
 		series.Column(p, col)
-		_, ok, err := sr.Push(col)
+		rep, ok, err := sr.Push(col)
 		if err != nil {
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("tick %d: unexpected error %v", p+1, err)
@@ -48,6 +50,7 @@ func TestStreamerPushRecoversFromFailedRound(t *testing.T) {
 		}
 		if ok {
 			completed = append(completed, p+1)
+			ends = append(ends, rep.WindowEnd)
 		}
 	}
 
@@ -59,6 +62,11 @@ func TestStreamerPushRecoversFromFailedRound(t *testing.T) {
 	want := []int{40, 44, 49, 53, 57, 61, 65, 69, 73, 77}
 	if !reflect.DeepEqual(completed, want) {
 		t.Fatalf("completed ticks = %v, want %v", completed, want)
+	}
+	// WindowEnd equals the tick the round actually completed at — it slides
+	// with the retry instead of sticking to the nominal cadence.
+	if !reflect.DeepEqual(ends, want) {
+		t.Fatalf("window ends = %v, want %v", ends, want)
 	}
 	// The failed attempt must not have advanced the detector.
 	if det.Rounds() != len(completed) {
@@ -78,13 +86,13 @@ func TestStreamerFailedFirstRoundKeepsWarming(t *testing.T) {
 	sr := NewStreamer(det)
 	errBoom := errors.New("boom")
 	calls := 0
-	real := sr.process
-	sr.process = func(win *mts.MTS) (RoundReport, error) {
+	real := sr.round
+	sr.round = func() (RoundReport, error) {
 		calls++
 		if calls <= 2 { // first round fails twice (ticks 40 and 41)
 			return RoundReport{}, errBoom
 		}
-		return real(win)
+		return real()
 	}
 	var completed []int
 	col := make([]float64, 12)
@@ -104,41 +112,34 @@ func TestStreamerFailedFirstRoundKeepsWarming(t *testing.T) {
 	}
 }
 
-// TestStreamerRingMatchesBatchExactly pins the ring-buffer window to the
-// batch path bit for bit: every field of every report must match Detect on
-// the same series.
+// TestStreamerRingMatchesBatchExactly pins both streaming paths to Detect
+// bit for bit: every field of every report must match, whether the round
+// comes from the maintained correlations (exact configs) or from the ring
+// unrolled into a window (ApproxTSG).
 func TestStreamerRingMatchesBatchExactly(t *testing.T) {
 	series := synth(13, 3, 4, 500, []int{1, 6}, 200, 320)
-
-	batch, err := NewDetector(12, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchRes, err := batch.Detect(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stream, err := NewDetector(12, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, err := NewStreamer(stream).PushSeries(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(batchRes.Rounds) {
-		t.Fatalf("streamer emitted %d rounds, batch %d", len(reps), len(batchRes.Rounds))
-	}
-	for i := range reps {
-		if !reflect.DeepEqual(reps[i], batchRes.Rounds[i]) {
-			t.Errorf("round %d differs:\nstream %+v\nbatch  %+v", i, reps[i], batchRes.Rounds[i])
+	for _, approx := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.ApproxTSG, cfg.ApproxSeed = approx, 5
+		want := detectRounds(t, cfg, series)
+		det, err := NewDetector(12, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pushAll(t, NewStreamer(det), series)
+		if len(got) != len(want) {
+			t.Fatalf("approx=%v: streamer emitted %d rounds, Detect %d", approx, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("approx=%v round %d differs:\nstream %+v\nDetect %+v", approx, i, got[i], want[i])
+			}
 		}
 	}
 }
 
 // TestStreamerInvalidPushLeavesStateIntact feeds interleaved invalid
-// columns (wrong arity) and checks the stream still matches the batch path
+// columns (wrong arity) and checks the stream still matches Detect
 // on the clean series — rejected pushes must not consume buffer space or
 // cadence.
 func TestStreamerInvalidPushLeavesStateIntact(t *testing.T) {
@@ -225,15 +226,15 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 	errBoom := errors.New("boom")
 	fails := map[int]int{3: 2, 4: 2, 10: 2}
 	attempt := 0
-	real := sr.process
-	sr.process = func(win *mts.MTS) (RoundReport, error) {
+	real := sr.round
+	sr.round = func() (RoundReport, error) {
 		rounds := det.Rounds()
 		if fails[rounds] > 0 {
 			fails[rounds]--
 			attempt++
 			return RoundReport{}, errBoom
 		}
-		return real(win)
+		return real()
 	}
 	tr := NewTracker(cfg)
 	col := make([]float64, 12)
@@ -321,40 +322,35 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 }
 
 // BenchmarkStreamerPush measures the full streaming hot path: ring write,
-// occasional window materialization, and round processing — for both the
-// batch-recompute pipeline and the incremental one (the cmd/benchrecord
-// baseline measures the same comparison at larger sensor counts).
+// rank-one correlation slide, and round processing.
 func BenchmarkStreamerPush(b *testing.B) {
 	for _, n := range []int{12, 48} {
-		for _, mode := range []string{"batch", "incremental"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				cfg := testConfig()
-				cfg.Window = mts.Windowing{W: 200, S: 4}
-				cfg.K = 3
-				cfg.Incremental = mode == "incremental"
-				det, err := NewDetector(n, cfg)
-				if err != nil {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := testConfig()
+			cfg.Window = mts.Windowing{W: 200, S: 4}
+			cfg.K = 3
+			det, err := NewDetector(n, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sr := NewStreamer(det)
+			series := synth(15, n/4, 4, 1200, nil, -1, -1)
+			cols := make([][]float64, series.Len())
+			for p := range cols {
+				cols[p] = series.Column(p, nil)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sr.Push(cols[i%len(cols)]); err != nil {
 					b.Fatal(err)
 				}
-				sr := NewStreamer(det)
-				series := synth(15, n/4, 4, 1200, nil, -1, -1)
-				cols := make([][]float64, series.Len())
-				for p := range cols {
-					cols[p] = series.Column(p, nil)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := sr.Push(cols[i%len(cols)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkStreamerPushBuffer isolates the per-push buffer management (the
-// part the ring buffer turned from O(n·w) into O(n)) by stubbing out round
+// BenchmarkStreamerPushBuffer isolates the per-push work — the O(n) ring
+// write plus the O(n²) correlation slide — by stubbing out round
 // processing.
 func BenchmarkStreamerPushBuffer(b *testing.B) {
 	cfg := testConfig()
@@ -364,7 +360,7 @@ func BenchmarkStreamerPushBuffer(b *testing.B) {
 		b.Fatal(err)
 	}
 	sr := NewStreamer(det)
-	sr.process = func(*mts.MTS) (RoundReport, error) { return RoundReport{}, nil }
+	sr.round = func() (RoundReport, error) { return RoundReport{}, nil }
 	col := make([]float64, 48)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -159,7 +159,6 @@ func CADConfigFor(ds *simulator.Dataset) core.Config {
 	if ds.Test.Sensors() >= 500 {
 		cfg.ApproxTSG = true
 		cfg.ApproxSeed = 1
-		cfg.Incremental = false // mutually exclusive with ApproxTSG
 	}
 	return cfg
 }

@@ -64,21 +64,16 @@ func sameAlarms(t *testing.T, label string, got, want []Alarm) {
 // mid-window and warm-up state — of a process that never crashed. Alarms
 // replayed from the WAL keep their original arrival timestamps.
 //
-// The incremental subtest runs the same protocol with Config.Incremental
-// set, so the crash points also land inside the sliding-sum accumulator's
-// lifetime — recovery must restore the drifted running sums verbatim for
-// the post-restart rounds to stay bit-identical (RefreshEvery=8 makes the
-// crash window span several exact-refresh boundaries).
+// The crash points land inside the streamer's sliding-sum accumulator's
+// lifetime: recovery must restore the drifted running sums verbatim for the
+// post-restart rounds to stay bit-identical (RefreshEvery=8 makes the crash
+// window span several exact-refresh boundaries).
 //
 // CAD_CRASH_SEED and CAD_CRASH_ITERS override the default seed and
 // iteration count (make crashtest pins them).
 func TestCrashRecoverEquivalence(t *testing.T) {
-	t.Run("batch", func(t *testing.T) {
-		crashRecoverEquivalence(t, testConfig())
-	})
 	t.Run("incremental", func(t *testing.T) {
 		cfg := testConfig()
-		cfg.Incremental = true
 		cfg.RefreshEvery = 8
 		crashRecoverEquivalence(t, cfg)
 	})

@@ -131,9 +131,7 @@ func driveStreamer(t *testing.T, cols [][]float64) []core.RoundReport {
 	return driveStreamerCfg(t, testConfig(), cols)
 }
 
-// driveStreamerCfg is driveStreamer with an explicit detector config, used
-// by tests that compare durable runs against both batch and incremental
-// pipelines.
+// driveStreamerCfg is driveStreamer with an explicit detector config.
 func driveStreamerCfg(t *testing.T, cfg core.Config, cols [][]float64) []core.RoundReport {
 	t.Helper()
 	det, err := core.NewDetector(8, cfg)

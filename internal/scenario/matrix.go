@@ -12,11 +12,10 @@ import (
 
 // matrix.go runs the scenario × config evaluation matrix: every corpus
 // scenario is streamed through a grid of detector configurations and each
-// cell reports the DaE quality metrics (DPA-F1, Ahead/Miss vs the batch
-// reference, detection delay, false-alarm rate, sensor localization) plus
+// cell reports the DaE quality metrics (DPA-F1, Ahead/Miss vs the reference
+// variant, detection delay, false-alarm rate, sensor localization) plus
 // throughput. cmd/cadeval serializes the result as BENCH_scenarios.json so
-// detection quality gets a committed trajectory the same way speed does in
-// BENCH_ingest.json.
+// detection quality gets a committed trajectory.
 
 // ConfigVariant is one named detector configuration of the grid.
 type ConfigVariant struct {
@@ -25,8 +24,8 @@ type ConfigVariant struct {
 	Config  core.Config `json:"-"`
 }
 
-// BaseConfig is the matrix's reference configuration: the exact batch
-// pipeline sized for the corpus fleet shape (32 sensors in 4 communities
+// BaseConfig is the matrix's reference configuration: the exact detector
+// sized for the corpus fleet shape (32 sensors in 4 communities
 // over 1200 points). θ is calibrated the way internal/experiments does it:
 // just below the typical RC plateau (communitySize−1)/(n−1) = 7/31 ≈ 0.23,
 // so a healthy sensor sits above θ and a decorrelated one crosses it within
@@ -45,7 +44,7 @@ func BaseConfig() core.Config {
 func Variants() []ConfigVariant {
 	base := BaseConfig()
 	inc := base
-	inc.Incremental, inc.RefreshEvery = true, 64
+	inc.RefreshEvery = 64
 	approx := base
 	approx.ApproxTSG, approx.ApproxSeed = true, 1
 	wide := base
@@ -55,8 +54,7 @@ func Variants() []ConfigVariant {
 	xi := base
 	xi.DisableVariationRule, xi.FixedXi = true, 3
 	return []ConfigVariant{
-		{Name: "batch", Summary: "exact batch pipeline, plateau-calibrated defaults (w=64 s=4 k=10 τ=0.4 θ=0.17 η=3)", Config: base},
-		{Name: "incremental", Summary: "Config.Incremental hot path: rank-one correlation, in-place TSG repair, warm Louvain", Config: inc},
+		{Name: "incremental", Summary: "exact streaming path, plateau-calibrated defaults (w=64 s=4 k=10 τ=0.4 θ=0.17 η=3): rank-one correlation, in-place TSG repair, warm Louvain, exact refresh every 64 rounds", Config: inc},
 		{Name: "approx-tsg", Summary: "HNSW approximate TSG (Config.ApproxTSG, pinned seed)", Config: approx},
 		{Name: "wide-window", Summary: "wider, coarser windowing (w=96 s=6)", Config: wide},
 		{Name: "cumulative-rc", Summary: "paper-literal cumulative RC accumulation (Def. 6)", Config: cum},
@@ -83,7 +81,9 @@ type Cell struct {
 	MeanDelayPoints float64 `json:"meanDelayPoints"`
 	MeanDelayRounds float64 `json:"meanDelayRounds"`
 	// AheadVsBatch / MissVsBatch are the DaE relative measures against the
-	// reference (first) variant; zero on the reference itself.
+	// reference (first) variant; zero on the reference itself. The names
+	// predate the reference being the incremental variant and stay for
+	// schema stability.
 	AheadVsBatch float64 `json:"aheadVsBatch"`
 	MissVsBatch  float64 `json:"missVsBatch"`
 	// Rounds / AlarmRounds / RoundsPerSec describe the run itself.

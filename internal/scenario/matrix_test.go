@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// fastPair is a cheap two-variant grid for tests: the reference batch
-// config plus the incremental hot path.
+// fastPair is a cheap two-variant grid for tests: the incremental
+// reference plus the fixed-ξ rule.
 func fastPair(t *testing.T) []ConfigVariant {
 	t.Helper()
 	var out []ConfigVariant
 	for _, v := range Variants() {
-		if v.Name == "batch" || v.Name == "incremental" {
+		if v.Name == "incremental" || v.Name == "fixed-xi" {
 			out = append(out, v)
 		}
 	}
 	if len(out) != 2 {
-		t.Fatalf("grid missing batch/incremental: %d found", len(out))
+		t.Fatalf("grid missing incremental/fixed-xi: %d found", len(out))
 	}
 	return out
 }
@@ -148,12 +148,12 @@ func TestValidateRejectsBadMatrix(t *testing.T) {
 		t.Fatal("empty matrix validated")
 	}
 	m := &Matrix{
-		GateConfig: "batch",
-		Configs:    []ConfigVariant{{Name: "batch"}},
+		GateConfig: "incremental",
+		Configs:    []ConfigVariant{{Name: "incremental"}},
 		Scenarios: []ScenarioResult{{
 			Name: "x", Problem: "p", Mechanism: "m", Keywords: []string{"k"},
 			Length: 100, Onset: 50, Affected: []int{1},
-			Cells: []Cell{{Config: "batch", DPAF1: 1.5, Rounds: 1}},
+			Cells: []Cell{{Config: "incremental", DPAF1: 1.5, Rounds: 1}},
 		}},
 	}
 	if err := m.Validate(1, 1); err == nil {
@@ -166,8 +166,8 @@ func TestVariantsGrid(t *testing.T) {
 	if len(vs) < 4 {
 		t.Fatalf("grid has %d variants, want ≥ 4", len(vs))
 	}
-	if vs[0].Name != "batch" {
-		t.Fatalf("reference variant is %q, want batch", vs[0].Name)
+	if vs[0].Name != "incremental" {
+		t.Fatalf("reference variant is %q, want incremental", vs[0].Name)
 	}
 	seen := make(map[string]bool)
 	for _, v := range vs {
