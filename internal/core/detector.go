@@ -381,16 +381,27 @@ func (d *Detector) partition(win *mts.MTS) (louvain.Partition, StageTimings, err
 }
 
 // ProcessCorr advances the detector by one round from a precomputed
-// correlation matrix — the incremental hot path Streamer runs for every
-// exact (non-ApproxTSG) config. The TSG is repaired in place rather than
-// rebuilt, and community detection warm-starts from the previous round's
-// partition. dirty is forwarded to tsg.Incremental.Repair (nil means treat
-// everything as changed, which is always safe).
+// correlation matrix, which must be n×n and symmetric. It runs the same
+// round as the Streamer's exact path: the TSG is repaired in place rather
+// than rebuilt, and community detection warm-starts from the previous
+// round's partition. dirty is ignored; it remains so existing callers keep
+// compiling.
 func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, error) {
 	if len(corr) != d.n {
 		return RoundReport{}, fmt.Errorf("%w: correlation matrix has %d rows, detector expects %d", ErrBadConfig, len(corr), d.n)
 	}
-	part, st, err := d.partitionIncremental(corr, dirty)
+	for i, row := range corr {
+		if len(row) != d.n {
+			return RoundReport{}, fmt.Errorf("%w: correlation matrix row %d has %d entries, detector expects %d", ErrBadConfig, i, len(row), d.n)
+		}
+	}
+	return d.processTriangle(tsg.Dense(corr))
+}
+
+// processTriangle is the exact streaming round: the correlations corr reads
+// go straight to the TSG repair, then Louvain and the co-appearance advance.
+func (d *Detector) processTriangle(corr tsg.Triangle) (RoundReport, error) {
+	part, st, err := d.partitionIncremental(corr)
 	if err != nil {
 		return RoundReport{}, err
 	}
@@ -401,8 +412,8 @@ func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, err
 }
 
 // partitionIncremental is partition's counterpart on the incremental path:
-// dirty-edge TSG repair followed by warm-started Louvain.
-func (d *Detector) partitionIncremental(corr [][]float64, dirty []bool) (louvain.Partition, StageTimings, error) {
+// TSG repair followed by warm-started Louvain.
+func (d *Detector) partitionIncremental(corr tsg.Triangle) (louvain.Partition, StageTimings, error) {
 	var st StageTimings
 	start := time.Now()
 	if d.incTSG == nil {
@@ -411,9 +422,8 @@ func (d *Detector) partitionIncremental(corr [][]float64, dirty []bool) (louvain
 			return louvain.Partition{}, st, err
 		}
 		d.incTSG = inc
-		dirty = nil // first repair populates the graph from scratch
 	}
-	structural := d.incTSG.Repair(corr, dirty)
+	structural := d.incTSG.Repair(corr)
 	st.TSGBuild = time.Since(start)
 	start = time.Now()
 	var part louvain.Partition

@@ -31,7 +31,7 @@ func pushAll(t *testing.T, sr *Streamer, series *mts.MTS) []RoundReport {
 }
 
 // slice is series.Slice for tests.
-func slice(t *testing.T, series *mts.MTS, from, to int) *mts.MTS {
+func slice(t testing.TB, series *mts.MTS, from, to int) *mts.MTS {
 	t.Helper()
 	s, err := series.Slice(from, to)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestIncrementalSaveLoadBitIdentical(t *testing.T) {
 
 // rewriteSnapshot decodes a SaveState snapshot, applies edit, and re-encodes
 // it — the way to forge snapshots older code wrote.
-func rewriteSnapshot(t *testing.T, snap []byte, edit func(*persistedStreamer)) *bytes.Buffer {
+func rewriteSnapshot(t testing.TB, snap []byte, edit func(*persistedStreamer)) *bytes.Buffer {
 	t.Helper()
 	var st persistedStreamer
 	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&st); err != nil {
@@ -365,7 +365,8 @@ func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		old := rewriteSnapshot(t, snap.Bytes(), func(st *persistedStreamer) {
-			st.HasAcc, st.AccRef, st.AccSX, st.AccSXY, st.AccCount = false, nil, nil, nil, 0
+			st.Version = streamerPersistFullSXY
+			st.HasAcc, st.AccRef, st.AccSX, st.AccSXYBits, st.AccCount = false, nil, nil, nil, 0
 		})
 		restored, err := LoadStreamer(old)
 		if err != nil {

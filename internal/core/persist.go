@@ -74,30 +74,52 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	if st.Version != persistVersion {
 		return nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrBadConfig, st.Version, persistVersion)
 	}
+	// Every array is checked against the header before NewDetector sizes
+	// its own from it, so a corrupt header cannot demand a huge allocation
+	// or leave a cursor pointing outside its ring.
+	if len(st.SumS) != st.N || len(st.Outlier) != st.N {
+		return nil, fmt.Errorf("%w: snapshot arrays sized for %d sensors, header says %d", ErrBadConfig, len(st.SumS), st.N)
+	}
+	if st.HavePrev && len(st.PrevOf) != st.N {
+		return nil, fmt.Errorf("%w: snapshot partition sized %d, want %d", ErrBadConfig, len(st.PrevOf), st.N)
+	}
+	if st.Config.RCMode == RCSliding {
+		horizon := st.Config.RCHorizon
+		if horizon == 0 {
+			horizon = 10
+		}
+		if len(st.Ring) != st.N {
+			return nil, fmt.Errorf("%w: snapshot ring sized %d, want %d", ErrBadConfig, len(st.Ring), st.N)
+		}
+		for _, r := range st.Ring {
+			if len(r) != horizon {
+				return nil, fmt.Errorf("%w: snapshot ring horizon %d, want %d", ErrBadConfig, len(r), horizon)
+			}
+		}
+		if st.RingPos < 0 || st.RingPos >= horizon {
+			return nil, fmt.Errorf("%w: snapshot ring position %d outside horizon %d", ErrBadConfig, st.RingPos, horizon)
+		}
+	}
+	if h := st.Config.HistoryHorizon; h > 0 {
+		if len(st.HistRing) != h {
+			return nil, fmt.Errorf("%w: snapshot history horizon %d, want %d", ErrBadConfig, len(st.HistRing), h)
+		}
+		if st.HistPos < 0 || st.HistPos >= h || st.HistFilled < 0 || st.HistFilled > h {
+			return nil, fmt.Errorf("%w: snapshot history position %d with %d of %d filled", ErrBadConfig, st.HistPos, st.HistFilled, h)
+		}
+	}
 	d, err := NewDetector(st.N, st.Config)
 	if err != nil {
 		return nil, fmt.Errorf("cad: load state: %w", err)
 	}
-	if len(st.SumS) != st.N || len(st.Outlier) != st.N {
-		return nil, fmt.Errorf("%w: snapshot arrays sized for %d sensors, header says %d", ErrBadConfig, len(st.SumS), st.N)
-	}
 	d.round = st.Round
 	d.havePrev = st.HavePrev
 	if st.HavePrev {
-		if len(st.PrevOf) != st.N {
-			return nil, fmt.Errorf("%w: snapshot partition sized %d, want %d", ErrBadConfig, len(st.PrevOf), st.N)
-		}
 		d.prevPart = louvain.Partition{Of: st.PrevOf, Count: st.PrevCnt}
 	}
 	copy(d.sumS, st.SumS)
 	if d.ring != nil {
-		if len(st.Ring) != st.N {
-			return nil, fmt.Errorf("%w: snapshot ring sized %d, want %d", ErrBadConfig, len(st.Ring), st.N)
-		}
 		for v := range d.ring {
-			if len(st.Ring[v]) != len(d.ring[v]) {
-				return nil, fmt.Errorf("%w: snapshot ring horizon %d, want %d", ErrBadConfig, len(st.Ring[v]), len(d.ring[v]))
-			}
 			copy(d.ring[v], st.Ring[v])
 		}
 		d.ringPos = st.RingPos
@@ -106,9 +128,6 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	copy(d.outlier, st.Outlier)
 	d.hist.run.SetState(st.HistN, st.HistMean, st.HistM2)
 	if d.hist.ring != nil {
-		if len(st.HistRing) != len(d.hist.ring) {
-			return nil, fmt.Errorf("%w: snapshot history horizon %d, want %d", ErrBadConfig, len(st.HistRing), len(d.hist.ring))
-		}
 		copy(d.hist.ring, st.HistRing)
 		d.hist.pos = st.HistPos
 		d.hist.filled = st.HistFilled

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"cad/internal/mts"
+	"cad/internal/stats"
 )
 
 // persistedStreamer is the gob wire format of a Streamer: the wrapped
@@ -34,17 +37,30 @@ type persistedStreamer struct {
 	// the last few ulps, breaking bit-identical replay. Snapshots written
 	// when exact configs could still stream by batch recompute carry no
 	// accumulator; LoadStreamer rebuilds it from Ring.
-	HasAcc   bool
-	AccRef   []float64
-	AccSX    []float64
-	AccSXY   []float64
-	AccCount int
+	HasAcc bool
+	AccRef []float64
+	AccSX  []float64
+	// AccSXY is version 2's pair sums: the full row-major n×n array.
+	AccSXY []float64
+	// AccSXYBits is version 3's pair sums: the packed upper triangle
+	// (stats.PackedLen(n) values) as little-endian IEEE-754 bits. gob
+	// copies a byte slice in one piece, but codes a []float64 value by
+	// value into a buffer that keeps regrowing: at n=1000 that allocated
+	// several times the 4 MB triangle on every checkpoint.
+	AccSXYBits []byte
+	AccCount   int
 }
 
-// streamerPersistVersion is 2 since the sequence number joined the format;
-// version-1 snapshots predate write-ahead logging and are rejected rather
-// than resumed with a replay cursor stuck at zero.
-const streamerPersistVersion = 2
+// streamerPersistVersion is 3 since the pair sums are stored as the packed
+// triangle in AccSXYBits. Version 2 (the full n×n AccSXY) still loads: its
+// upper triangle is packed bit for bit. Version-1 snapshots predate
+// write-ahead logging and are rejected rather than resumed with a replay
+// cursor stuck at zero.
+const streamerPersistVersion = 3
+
+// streamerPersistFullSXY is the last version that stored the pair sums as
+// the full n×n AccSXY.
+const streamerPersistFullSXY = 2
 
 // SaveState serializes the streamer — the detector snapshot plus the
 // in-flight window state — so ingestion can resume mid-window after a
@@ -67,7 +83,9 @@ func (s *Streamer) SaveState(w io.Writer) error {
 	}
 	if s.acc != nil {
 		st.HasAcc = true
-		st.AccRef, st.AccSX, st.AccSXY, st.AccCount = s.acc.State()
+		var sxy []float64
+		st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
+		st.AccSXYBits = floatBits(sxy)
 	}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("cad: save streamer: %w", err)
@@ -82,21 +100,52 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("cad: load streamer: %w", err)
 	}
-	if st.Version != streamerPersistVersion {
-		return nil, fmt.Errorf("%w: streamer snapshot version %d, want %d", ErrBadConfig, st.Version, streamerPersistVersion)
+	if st.Version != streamerPersistVersion && st.Version != streamerPersistFullSXY {
+		return nil, fmt.Errorf("%w: streamer snapshot version %d, want %d or %d", ErrBadConfig, st.Version, streamerPersistFullSXY, streamerPersistVersion)
 	}
 	det, err := LoadDetector(bytes.NewReader(st.Detector))
 	if err != nil {
 		return nil, err
 	}
-	s := NewStreamer(det)
-	if len(st.Ring) != len(s.ring) {
-		return nil, fmt.Errorf("%w: streamer snapshot ring has %d sensors, want %d", ErrBadConfig, len(st.Ring), len(s.ring))
+	// Check the decoded shapes before NewStreamer sizes its buffers from
+	// the detector, so a corrupt header cannot demand a huge allocation.
+	n, w := det.Sensors(), det.cfg.Window.W
+	if len(st.Ring) != n {
+		return nil, fmt.Errorf("%w: streamer snapshot ring has %d sensors, want %d", ErrBadConfig, len(st.Ring), n)
 	}
-	for i := range s.ring {
-		if len(st.Ring[i]) != len(s.ring[i]) {
-			return nil, fmt.Errorf("%w: streamer snapshot window %d, want %d", ErrBadConfig, len(st.Ring[i]), len(s.ring[i]))
+	for i := range st.Ring {
+		if len(st.Ring[i]) != w {
+			return nil, fmt.Errorf("%w: streamer snapshot window %d, want %d", ErrBadConfig, len(st.Ring[i]), w)
 		}
+		if !finite(st.Ring[i]) {
+			return nil, fmt.Errorf("%w: streamer snapshot ring holds a non-finite reading", ErrBadConfig)
+		}
+	}
+	if st.Filled < 0 || st.Filled > w || st.Pos < 0 || st.Pos >= w || (st.Filled < w && st.Pos != st.Filled) {
+		return nil, fmt.Errorf("%w: streamer snapshot ring position %d with %d of %d columns filled", ErrBadConfig, st.Pos, st.Filled, w)
+	}
+	var sxy []float64
+	if st.HasAcc {
+		if det.cfg.ApproxTSG {
+			return nil, fmt.Errorf("%w: streamer snapshot carries a correlation accumulator, but its config sets ApproxTSG", ErrBadConfig)
+		}
+		if st.Version == streamerPersistFullSXY {
+			if len(st.AccSXY) != n*n {
+				return nil, fmt.Errorf("%w: streamer snapshot pair sums have %d values, want %d", ErrBadConfig, len(st.AccSXY), n*n)
+			}
+			sxy = stats.PackUpper(st.AccSXY, n)
+		} else {
+			if len(st.AccSXYBits) != 8*stats.PackedLen(n) {
+				return nil, fmt.Errorf("%w: streamer snapshot pair sums have %d bytes, want %d", ErrBadConfig, len(st.AccSXYBits), 8*stats.PackedLen(n))
+			}
+			sxy = bitsFloats(st.AccSXYBits)
+		}
+		if !finite(st.AccRef) || !finite(st.AccSX) || !finite(sxy) {
+			return nil, fmt.Errorf("%w: streamer snapshot accumulator holds a non-finite sum", ErrBadConfig)
+		}
+	}
+	s := NewStreamer(det)
+	for i := range s.ring {
 		copy(s.ring[i], st.Ring[i])
 	}
 	s.pos = st.Pos
@@ -106,32 +155,52 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 	s.seq = st.Seq
 	s.base = st.Base
 	switch {
-	case st.HasAcc && s.acc == nil:
-		return nil, fmt.Errorf("%w: streamer snapshot carries a correlation accumulator, but its config sets ApproxTSG", ErrBadConfig)
 	case st.HasAcc:
-		if !s.acc.SetState(st.AccRef, st.AccSX, st.AccSXY, st.AccCount) {
+		if !s.acc.SetState(st.AccRef, st.AccSX, sxy, st.AccCount) {
 			return nil, fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
 		}
 	case s.acc != nil:
-		if err := s.rebuildAcc(); err != nil {
-			return nil, err
-		}
+		s.rebuildAcc()
 	}
 	return s, nil
+}
+
+// floatBits encodes xs as little-endian IEEE-754 bits, 8 bytes per value.
+func floatBits(xs []float64) []byte {
+	b := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
+}
+
+// bitsFloats decodes floatBits' encoding; len(b) must be a multiple of 8.
+func bitsFloats(b []byte) []float64 {
+	xs := make([]float64, len(b)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return xs
+}
+
+// finite reports whether every value is a finite number.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildAcc derives the correlation accumulator of a snapshot that was
 // saved without one from the restored ring: a filling ring is pushed column
 // by column, exactly as the live stream would have, and a full one is
 // summed exactly in one refresh.
-func (s *Streamer) rebuildAcc() error {
-	w := s.det.cfg.Window.W
-	if s.filled < 0 || s.filled > w || s.pos < 0 || s.pos >= w || (s.filled < w && s.pos != s.filled) {
-		return fmt.Errorf("%w: streamer snapshot ring position %d with %d of %d columns filled", ErrBadConfig, s.pos, s.filled, w)
-	}
-	if s.filled == w {
-		s.acc.Refresh(s.window().Rows())
-		return nil
+func (s *Streamer) rebuildAcc() {
+	if s.filled == s.det.cfg.Window.W {
+		s.acc.Refresh(s.chronological())
+		return
 	}
 	for p := 0; p < s.filled; p++ {
 		for i := range s.oldCol {
@@ -139,7 +208,6 @@ func (s *Streamer) rebuildAcc() error {
 		}
 		s.acc.Push(s.oldCol)
 	}
-	return nil
 }
 
 // persistedTracker is the gob wire format of a Tracker: the windowing it

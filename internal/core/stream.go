@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cad/internal/mts"
 	"cad/internal/stats"
@@ -26,8 +27,9 @@ type Streamer struct {
 	ring   [][]float64
 	pos    int
 	filled int
-	// win is the scratch window the ring is unrolled into for each round.
-	// It is reused across rounds; ProcessWindow does not retain it.
+	// win is the scratch window the ring is unrolled into for each
+	// ApproxTSG round, allocated on first use and reused after;
+	// ProcessWindow does not retain it. Exact rounds never need it.
 	win *mts.MTS
 	// pending counts columns received since the last *successful* round (or
 	// since start, for the first round).
@@ -66,7 +68,6 @@ func NewStreamer(det *Detector) *Streamer {
 	s := &Streamer{
 		det:  det,
 		ring: ring,
-		win:  mts.Zeros(n, w),
 		base: det.round * det.cfg.Window.S,
 	}
 	if det.cfg.ApproxTSG {
@@ -163,22 +164,42 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 }
 
 // processCorr runs one round on the incremental path: the maintained
-// correlation matrix goes straight to the detector's TSG repair.
+// correlations go straight from the accumulator's packed triangle to the
+// detector's TSG repair, one derived row at a time, so no n×n matrix is
+// built.
 func (s *Streamer) processCorr() (RoundReport, error) {
 	// Periodic exact refresh bounds the accumulator's floating-point drift.
 	// The cadence keys off the persisted round counter, so a restored
 	// streamer refreshes at exactly the same rounds a never-interrupted one
 	// would — required for bit-identical replay.
 	if s.det.round%s.refreshEvery == 0 {
-		s.acc.Refresh(s.window().Rows())
+		s.acc.Refresh(s.chronological())
 	}
-	return s.det.ProcessCorr(s.acc.Corr(), nil)
+	return s.det.processTriangle(s.acc.Rows())
+}
+
+// chronological rotates the ring in place so that slot 0 holds the oldest
+// column and returns its rows: the window in time order, without a copy.
+// Only valid once the ring is full, when pos is the oldest slot.
+func (s *Streamer) chronological() [][]float64 {
+	if p := s.pos; p != 0 {
+		for _, r := range s.ring {
+			slices.Reverse(r[:p])
+			slices.Reverse(r[p:])
+			slices.Reverse(r)
+		}
+		s.pos = 0
+	}
+	return s.ring
 }
 
 // window unrolls the ring into s.win in chronological order and returns it.
 // Only valid once the ring is full, when pos is the oldest slot.
 func (s *Streamer) window() *mts.MTS {
 	w := s.det.cfg.Window.W
+	if s.win == nil {
+		s.win = mts.Zeros(len(s.ring), w)
+	}
 	for i, r := range s.ring {
 		dst := s.win.Row(i)
 		copy(dst, r[s.pos:])

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cad/internal/mts"
@@ -318,6 +319,48 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 		if a.End > series.Len() {
 			t.Errorf("anomaly %d End %d beyond consumed columns %d", i, a.End, series.Len())
 		}
+	}
+}
+
+// TestStreamerMemoryGuard bounds everything an exact n=1000 stream allocates
+// from construction through its first two rounds: the packed pair sums
+// (n(n+1)/2 floats, 3.8 MiB), the ring, the TSG and two cold Louvain runs,
+// about 6.3 MiB in all. Any n×n float64 matrix on this path would add
+// another 7.6 MiB.
+func TestStreamerMemoryGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 1000-sensor stream")
+	}
+	const n, limit = 1000, 7 << 20
+	cfg := testConfig()
+	det, err := NewDetector(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := synth(17, 40, 25, cfg.Window.W+cfg.Window.S, nil, -1, -1)
+	cols := make([][]float64, series.Len())
+	for p := range cols {
+		cols[p] = series.Column(p, nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr := NewStreamer(det)
+	rounds := 0
+	for _, col := range cols {
+		_, ok, err := sr.Push(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			rounds++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if rounds != 2 {
+		t.Fatalf("%d rounds completed, want 2", rounds)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("streamer allocated %.1f MiB over two rounds, want < %d MiB", float64(got)/(1<<20), limit>>20)
 	}
 }
 

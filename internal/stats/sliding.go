@@ -9,14 +9,17 @@ import "math"
 // of the terms being cancelled rather than against absolute zero.
 const slidingConstEps = 1e-12
 
-// SlidingCorr maintains the pairwise Pearson correlation matrix of n sensors
-// over a sliding window of up to w columns with O(n²) work per column — the
+// SlidingCorr maintains the pairwise Pearson correlations of n sensors over
+// a sliding window of up to w columns with O(n²) work per column — the
 // rank-one alternative to recomputing PearsonMatrix at O(n²·w) per round.
 // It keeps running sums Σd per sensor and Σd_i·d_j per sensor pair of the
 // deviations d = x − ref, where ref is a fixed per-sensor reference value
 // (Pearson correlation is shift-invariant, and shifting defeats the
 // catastrophic cancellation a raw-sum formulation suffers on data with a
-// large offset). Correlations are derived on demand in Corr.
+// large offset). The pair sums are symmetric, so only the upper triangle,
+// diagonal included, is stored: n(n+1)/2 values, packed row by row.
+// Correlations are derived on demand, row by row through Rows or as a full
+// matrix through Corr.
 //
 // Floating-point drift accumulates in the sums as columns slide through, at
 // roughly one ulp per update. Callers bound it by calling Refresh
@@ -32,33 +35,51 @@ type SlidingCorr struct {
 	count int       // columns currently summed (≤ w)
 	ref   []float64 // per-sensor shift, anchored at first Push and each Refresh
 	sx    []float64 // Σ (x_i − ref_i) per sensor
-	sxy   []float64 // Σ d_i·d_j, n×n row-major, upper triangle incl. diagonal
-	// corr is the materialized matrix Corr returns, reused across calls.
-	corr  [][]float64
-	cells []float64
-	inv   []float64 // scratch: 1/√(count·Σd² − (Σd)²) per sensor, 0 if constant
+	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen)
+	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of Rows, 0 if constant
+	row   []float64 // scratch: one derived correlation row
 	dev   []float64 // scratch: one column of deviations
 	dev2  []float64
+	// corr is the materialized matrix Corr returns, allocated on its first
+	// call and reused after; the round path never builds it.
+	corr [][]float64
+}
+
+// PackedLen returns the number of values in the packed upper triangle,
+// diagonal included, of an n×n symmetric matrix: n(n+1)/2. Row i occupies
+// the n−i values starting at i·n − i(i−1)/2, its diagonal entry first.
+func PackedLen(n int) int { return n * (n + 1) / 2 }
+
+// rowStart returns the packed index of diagonal entry (i, i).
+func rowStart(n, i int) int { return i*n - i*(i-1)/2 }
+
+// PackUpper packs the upper triangle, diagonal included, of a row-major n×n
+// matrix into the storage order of SlidingCorr's pair sums, copying every
+// value bit for bit. It returns nil when len(full) != n·n.
+func PackUpper(full []float64, n int) []float64 {
+	if n < 0 || len(full) != n*n {
+		return nil
+	}
+	out := make([]float64, 0, PackedLen(n))
+	for i := 0; i < n; i++ {
+		out = append(out, full[i*n+i:(i+1)*n]...)
+	}
+	return out
 }
 
 // NewSlidingCorr returns an empty accumulator for n sensors and window w.
 func NewSlidingCorr(n, w int) *SlidingCorr {
-	c := &SlidingCorr{
-		n:     n,
-		w:     w,
-		ref:   make([]float64, n),
-		sx:    make([]float64, n),
-		sxy:   make([]float64, n*n),
-		corr:  make([][]float64, n),
-		cells: make([]float64, n*n),
-		inv:   make([]float64, n),
-		dev:   make([]float64, n),
-		dev2:  make([]float64, n),
+	return &SlidingCorr{
+		n:    n,
+		w:    w,
+		ref:  make([]float64, n),
+		sx:   make([]float64, n),
+		sxy:  make([]float64, PackedLen(n)),
+		inv:  make([]float64, n),
+		row:  make([]float64, n),
+		dev:  make([]float64, n),
+		dev2: make([]float64, n),
 	}
-	for i := range c.corr {
-		c.corr[i] = c.cells[i*n : (i+1)*n]
-	}
-	return c
 }
 
 // Sensors returns n.
@@ -82,13 +103,15 @@ func (c *SlidingCorr) Push(col []float64) {
 	for i := 0; i < n; i++ {
 		d[i] = col[i] - c.ref[i]
 	}
+	off := 0
 	for i := 0; i < n; i++ {
 		di := d[i]
 		c.sx[i] += di
-		row := c.sxy[i*n:]
-		for j := i; j < n; j++ {
-			row[j] += di * d[j]
+		row := c.sxy[off : off+n-i]
+		for t, dj := range d[i:n] {
+			row[t] += di * dj
 		}
+		off += n - i
 	}
 	if c.count < c.w {
 		c.count++
@@ -105,13 +128,16 @@ func (c *SlidingCorr) Slide(newCol, oldCol []float64) {
 		dn[i] = newCol[i] - c.ref[i]
 		do[i] = oldCol[i] - c.ref[i]
 	}
+	off := 0
 	for i := 0; i < n; i++ {
 		ni, oi := dn[i], do[i]
 		c.sx[i] += ni - oi
-		row := c.sxy[i*n:]
-		for j := i; j < n; j++ {
-			row[j] += ni*dn[j] - oi*do[j]
+		row := c.sxy[off : off+n-i]
+		dnj, doj := dn[i:n], do[i:n]
+		for t := range row {
+			row[t] += ni*dnj[t] - oi*doj[t]
 		}
+		off += n - i
 	}
 }
 
@@ -132,6 +158,7 @@ func (c *SlidingCorr) Refresh(rows [][]float64) {
 			c.ref[i] = 0
 		}
 	}
+	off := 0
 	for i := 0; i < n; i++ {
 		ri, refI := rows[i], c.ref[i]
 		var s float64
@@ -139,28 +166,28 @@ func (c *SlidingCorr) Refresh(rows [][]float64) {
 			s += x - refI
 		}
 		c.sx[i] = s
-		row := c.sxy[i*n:]
-		for j := i; j < n; j++ {
-			rj, refJ := rows[j], c.ref[j]
+		row := c.sxy[off : off+n-i]
+		for t := range row {
+			rj, refJ := rows[i+t], c.ref[i+t]
 			var dot float64
-			for t := range ri {
-				dot += (ri[t] - refI) * (rj[t] - refJ)
+			for u := range ri {
+				dot += (ri[u] - refI) * (rj[u] - refJ)
 			}
-			row[j] = dot
+			row[t] = dot
 		}
+		off += n - i
 	}
 }
 
-// Corr derives the Pearson correlation matrix from the current sums, with
-// the same conventions as PearsonMatrix: entries are clamped to [-1, 1],
-// constant (zero-variance) rows are all zero including the diagonal, and
-// every other diagonal entry is 1. The returned matrix is owned by the
-// accumulator and overwritten by the next call.
-func (c *SlidingCorr) Corr() [][]float64 {
-	n := c.n
+// Rows prepares one round of correlation reads from the current sums. It
+// computes every sensor's inverse norm once and returns a view that derives
+// the strict upper triangle of the correlation matrix one row at a time, in
+// the sums' storage order, so no n×n matrix is built. The view stays valid
+// until the accumulator next changes or Rows is called again.
+func (c *SlidingCorr) Rows() CorrRows {
 	w := float64(c.count)
-	for i := 0; i < n; i++ {
-		ss := c.sxy[i*n+i]
+	for i := 0; i < c.n; i++ {
+		ss := c.sxy[rowStart(c.n, i)]
 		v := w*ss - c.sx[i]*c.sx[i]
 		// Relative constancy test: v is the difference of the two
 		// magnitude terms, so residue ~ulp·scale means a constant row.
@@ -170,26 +197,88 @@ func (c *SlidingCorr) Corr() [][]float64 {
 			c.inv[i] = 1 / math.Sqrt(v)
 		}
 	}
+	return CorrRows{c}
+}
+
+// CorrRows is one round's read view of a SlidingCorr; see SlidingCorr.Rows.
+type CorrRows struct{ c *SlidingCorr }
+
+// UpperRow returns the correlations r(i, j) for j = i+1, …, n−1, with the
+// same conventions as PearsonMatrix: values are clamped to [-1, 1], and
+// every pair involving a constant (zero-variance) sensor is 0. The slice is
+// scratch owned by the accumulator and overwritten by the next call.
+func (r CorrRows) UpperRow(i int) []float64 {
+	c := r.c
+	n := c.n
+	dst := c.row[:n-1-i]
+	inv := c.inv[i+1 : n]
+	if c.inv[i] == 0 {
+		clear(dst)
+		return dst
+	}
+	w := float64(c.count)
+	start := rowStart(n, i) + 1
+	sxy := c.sxy[start : start+len(dst)]
+	sxj := c.sx[i+1 : n]
+	si, ii := c.sx[i], c.inv[i]
+	for t := range dst {
+		var v float64
+		if inv[t] != 0 {
+			v = pearson(w, sxy[t], si, sxj[t], ii, inv[t])
+		}
+		dst[t] = v
+	}
+	return dst
+}
+
+// At returns the single correlation r(i, j), i < j: the value UpperRow(i)
+// holds for j, bit for bit.
+func (r CorrRows) At(i, j int) float64 {
+	c := r.c
+	if c.inv[i] == 0 || c.inv[j] == 0 {
+		return 0
+	}
+	return pearson(float64(c.count), c.sxy[rowStart(c.n, i)+j-i], c.sx[i], c.sx[j], c.inv[i], c.inv[j])
+}
+
+// pearson derives one correlation from the window's column count w, the
+// pair's deviation product sum sxy, both sensors' deviation sums and their
+// inverse norms, clamped to [-1, 1]. Every derivation goes through it, so a
+// pair's value does not depend on how it is read.
+func pearson(w, sxy, si, sj, invI, invJ float64) float64 {
+	v := (w*sxy - si*sj) * invI * invJ
+	if v > 1 {
+		return 1
+	} else if v < -1 {
+		return -1
+	}
+	return v
+}
+
+// Corr derives the full Pearson correlation matrix from the current sums,
+// with the same conventions as PearsonMatrix: entries are clamped to
+// [-1, 1], constant (zero-variance) rows are all zero including the
+// diagonal, and every other diagonal entry is 1. Every off-diagonal entry
+// equals the one Rows derives. The matrix is allocated on the first call,
+// owned by the accumulator and overwritten by the next call.
+func (c *SlidingCorr) Corr() [][]float64 {
+	n := c.n
+	if c.corr == nil {
+		cells := make([]float64, n*n)
+		c.corr = make([][]float64, n)
+		for i := range c.corr {
+			c.corr[i] = cells[i*n : (i+1)*n]
+		}
+	}
+	rows := c.Rows()
 	for i := 0; i < n; i++ {
 		ci := c.corr[i]
-		if c.inv[i] == 0 {
-			for j := range ci {
-				ci[j] = 0
-				c.corr[j][i] = 0
-			}
-			continue
+		ci[i] = 0
+		if c.inv[i] != 0 {
+			ci[i] = 1
 		}
-		ci[i] = 1
-		for j := i + 1; j < n; j++ {
-			var r float64
-			if c.inv[j] != 0 {
-				r = (w*c.sxy[i*n+j] - c.sx[i]*c.sx[j]) * c.inv[i] * c.inv[j]
-				if r > 1 {
-					r = 1
-				} else if r < -1 {
-					r = -1
-				}
-			}
+		for t, r := range rows.UpperRow(i) {
+			j := i + 1 + t
 			ci[j] = r
 			c.corr[j][i] = r
 		}
@@ -198,17 +287,19 @@ func (c *SlidingCorr) Corr() [][]float64 {
 }
 
 // State exposes the accumulator's internals for persistence: the shift
-// reference, the per-sensor deviation sums, the pair-sum triangle, and the
-// column count. The returned slices alias internal storage; callers must
-// copy or encode them before mutating the accumulator.
+// reference, the per-sensor deviation sums, the packed pair-sum triangle
+// (PackedLen(n) values), and the column count. The returned slices alias
+// internal storage; callers must copy or encode them before mutating the
+// accumulator.
 func (c *SlidingCorr) State() (ref, sx, sxy []float64, count int) {
 	return c.ref, c.sx, c.sxy, c.count
 }
 
-// SetState restores the accumulator from persisted internals. It reports
-// whether the slice shapes matched; on false the accumulator is unchanged.
+// SetState restores the accumulator from persisted internals, sxy in the
+// packed layout State returns. It reports whether the slice shapes matched;
+// on false the accumulator is unchanged.
 func (c *SlidingCorr) SetState(ref, sx, sxy []float64, count int) bool {
-	if len(ref) != c.n || len(sx) != c.n || len(sxy) != c.n*c.n || count < 0 || count > c.w {
+	if len(ref) != c.n || len(sx) != c.n || len(sxy) != PackedLen(c.n) || count < 0 || count > c.w {
 		return false
 	}
 	copy(c.ref, ref)

@@ -173,3 +173,151 @@ func TestSlidingCorrStateRoundTrip(t *testing.T) {
 		t.Fatal("SetState accepted count > window")
 	}
 }
+
+// fullSums is the accumulator's arithmetic on a full row-major n×n pair-sum
+// array, upper triangle used: the reference the packed layout must match
+// bit for bit.
+type fullSums struct {
+	n       int
+	ref, sx []float64
+	sxy     []float64
+}
+
+func (f *fullSums) push(col []float64, first bool) {
+	if first {
+		copy(f.ref, col)
+	}
+	for i := 0; i < f.n; i++ {
+		di := col[i] - f.ref[i]
+		f.sx[i] += di
+		for j := i; j < f.n; j++ {
+			f.sxy[i*f.n+j] += di * (col[j] - f.ref[j])
+		}
+	}
+}
+
+func (f *fullSums) slide(nw, old []float64) {
+	for i := 0; i < f.n; i++ {
+		ni, oi := nw[i]-f.ref[i], old[i]-f.ref[i]
+		f.sx[i] += ni - oi
+		for j := i; j < f.n; j++ {
+			f.sxy[i*f.n+j] += ni*(nw[j]-f.ref[j]) - oi*(old[j]-f.ref[j])
+		}
+	}
+}
+
+func (f *fullSums) refresh(rows [][]float64) {
+	for i := range rows {
+		f.ref[i] = rows[i][0]
+	}
+	for i, ri := range rows {
+		var s float64
+		for _, x := range ri {
+			s += x - f.ref[i]
+		}
+		f.sx[i] = s
+		for j := i; j < f.n; j++ {
+			var dot float64
+			for t := range ri {
+				dot += (ri[t] - f.ref[i]) * (rows[j][t] - f.ref[j])
+			}
+			f.sxy[i*f.n+j] = dot
+		}
+	}
+}
+
+// TestSlidingCorrPackedMatchesFullLayout drives the packed accumulator and
+// the full-layout reference through pushes, slides and refreshes, and
+// requires every sum to agree bit for bit, packed by PackUpper.
+func TestSlidingCorrPackedMatchesFullLayout(t *testing.T) {
+	const n, w = 9, 14
+	rng := rand.New(rand.NewSource(5))
+	c := NewSlidingCorr(n, w)
+	f := &fullSums{n: n, ref: make([]float64, n), sx: make([]float64, n), sxy: make([]float64, n*n)}
+	var cols [][]float64
+	for step := 0; step < w+120; step++ {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = 100 + 5*rng.NormFloat64()
+		}
+		cols = append(cols, col)
+		switch {
+		case step < w:
+			c.Push(col)
+			f.push(col, step == 0)
+		case step%40 == 0:
+			rows := windowRows(cols, n, w)
+			c.Refresh(rows)
+			f.refresh(rows)
+		default:
+			c.Slide(col, cols[len(cols)-1-w])
+			f.slide(col, cols[len(cols)-1-w])
+		}
+		ref, sx, sxy, _ := c.State()
+		want := PackUpper(f.sxy, n)
+		for k := range want {
+			if sxy[k] != want[k] {
+				t.Fatalf("step %d: packed sum %d = %v, full layout %v", step, k, sxy[k], want[k])
+			}
+		}
+		for i := range sx {
+			if sx[i] != f.sx[i] || ref[i] != f.ref[i] {
+				t.Fatalf("step %d: sensor %d sums differ", step, i)
+			}
+		}
+	}
+}
+
+// TestSlidingCorrRowsMatchCorr: the round view's rows and single pairs are
+// bit-identical to the materialized matrix, constant sensors included.
+func TestSlidingCorrRowsMatchCorr(t *testing.T) {
+	const n, w = 8, 20
+	rng := rand.New(rand.NewSource(3))
+	c := NewSlidingCorr(n, w)
+	for step := 0; step < w; step++ {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = rng.NormFloat64()
+		}
+		col[2] = 7 // constant
+		col[6] = -col[1]
+		c.Push(col)
+	}
+	corr := c.Corr()
+	rows := c.Rows()
+	for i := 0; i < n; i++ {
+		row := rows.UpperRow(i)
+		if len(row) != n-1-i {
+			t.Fatalf("row %d has %d values, want %d", i, len(row), n-1-i)
+		}
+		for j := i + 1; j < n; j++ {
+			if row[j-i-1] != corr[i][j] || rows.At(i, j) != corr[i][j] {
+				t.Fatalf("r(%d,%d): row %v, At %v, Corr %v", i, j, row[j-i-1], rows.At(i, j), corr[i][j])
+			}
+		}
+	}
+	if corr[2][2] != 0 || corr[1][6] != -1 {
+		t.Fatalf("constant diagonal %v, anti-correlated pair %v", corr[2][2], corr[1][6])
+	}
+}
+
+func TestPackUpper(t *testing.T) {
+	full := []float64{
+		1, 2, 3,
+		9, 4, 5,
+		9, 9, 6,
+	}
+	got := PackUpper(full, 3)
+	want := []float64{1, 2, 3, 4, 5, 6}
+	if len(got) != PackedLen(3) {
+		t.Fatalf("len %d, want %d", len(got), PackedLen(3))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("PackUpper = %v, want %v", got, want)
+		}
+	}
+	if PackUpper(full[:8], 3) != nil {
+		t.Fatal("PackUpper accepted a short matrix")
+	}
+}

@@ -5,16 +5,36 @@ import (
 	"sort"
 )
 
+// Triangle is a symmetric correlation matrix read through its strict upper
+// triangle, so the diagonal is never read. UpperRow(i) returns r(i, j) for
+// j = i+1, …, n−1; the caller reads each row before asking for the next, so
+// an implementation may derive every row into the same buffer. At(i, j)
+// returns the single value r(i, j), i < j, bit-identical to the one
+// UpperRow(i) holds for j.
+type Triangle interface {
+	UpperRow(i int) []float64
+	At(i, j int) float64
+}
+
+// Dense reads a square symmetric matrix as a Triangle without copying.
+type Dense [][]float64
+
+// UpperRow returns the part of row i right of the diagonal.
+func (d Dense) UpperRow(i int) []float64 { return d[i][i+1:] }
+
+// At returns d[i][j].
+func (d Dense) At(i, j int) float64 { return d[i][j] }
+
 // edge is one k-NN candidate: neighbor id and signed correlation.
 type edge struct {
 	v int
 	w float64
 }
 
-// rankBefore orders candidates the way fromCorrelation sorts them: by
-// |correlation| descending, ties toward the lower vertex id. The incremental
-// repairer must select under exactly this order to stay bit-identical with
-// the batch builder.
+// rankBefore is the selection order of the k-NN graph: |correlation|
+// descending, ties toward the lower vertex id. It is a strict total order
+// over one vertex's candidates, so the selected top-K is unique whatever
+// order the candidates arrive in.
 func rankBefore(aw float64, av int, bw float64, bv int) bool {
 	aa, ab := math.Abs(aw), math.Abs(bw)
 	if aa != ab {
@@ -24,36 +44,32 @@ func rankBefore(aw float64, av int, bw float64, bv int) bool {
 }
 
 // Incremental maintains a TSG across a sliding sequence of correlation
-// matrices, repairing only the edges that can actually have changed instead
-// of rebuilding the graph (and its adjacency maps) from scratch every round.
+// matrices, repairing the edges that changed instead of rebuilding the graph
+// (and its adjacency maps) from scratch every round. It is also the one
+// selection routine of the package: Builder.FromCorrelation runs a single
+// Repair on a fresh Incremental.
 //
 // The maintained invariant is exact: after every Repair the graph equals
-// Builder.FromCorrelation(corr) edge for edge and weight for weight. The
-// saving comes from two places: vertices whose k-NN selection provably did
-// not change are skipped entirely (see the dirty contract on Repair), and
-// for the rest the top-k candidates are found by partial selection instead
-// of a full sort, with the surviving edges written into the long-lived
-// graph via SetEdge/RemoveEdge.
+// Builder.FromCorrelation(corr) edge for edge and weight for weight.
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
-	b    Builder
-	n    int
-	g    *Graph
-	init bool
+	b Builder
+	n int
+	g *Graph
 
-	// byID[u] is u's current top-K candidate list sorted by neighbor id
-	// (weights included, pre-τ-pruning). kthW/kthV is the rank-K boundary
-	// candidate deciding whether an improved outsider enters the top-K.
-	byID [][]edge
-	kthW []float64
-	kthV []int
-
-	// Scratch reused across rounds.
-	cand    []edge
-	need    []bool
-	staged  [][]edge // newly selected byID lists for repaired vertices
-	dirtyIx []int
+	// sel[u] is u's committed top-K selection sorted by neighbor id
+	// (weights included, pre-τ-pruning). next[u] is the selection the
+	// current Repair builds: ranked best first while candidates are
+	// offered, sorted by id once the pass is over. Both are carved out of
+	// fixed n·K backing arrays and swapped on commit, so the steady state
+	// allocates nothing.
+	sel, next [][]edge
+	// floor[u] is a lower bound on |w| of u's K-th candidate this round: an
+	// offer weaker than the floor is rejected on this one comparison. It
+	// starts at seedFloor and rises to |w| of next[u]'s worst candidate
+	// once the set holds K.
+	floor []float64
 }
 
 // NewIncremental returns an incremental builder over n vertices with an
@@ -62,113 +78,157 @@ func NewIncremental(b Builder, n int) (*Incremental, error) {
 	if err := b.Validate(n); err != nil {
 		return nil, err
 	}
-	return &Incremental{
-		b:      b,
-		n:      n,
-		g:      NewGraph(n),
-		byID:   make([][]edge, n),
-		kthW:   make([]float64, n),
-		kthV:   make([]int, n),
-		cand:   make([]edge, 0, n-1),
-		need:   make([]bool, n),
-		staged: make([][]edge, n),
-	}, nil
+	return newIncremental(b, n), nil
+}
+
+func newIncremental(b Builder, n int) *Incremental {
+	k := b.K
+	inc := &Incremental{
+		b:     b,
+		n:     n,
+		g:     NewGraph(n),
+		sel:   make([][]edge, n),
+		next:  make([][]edge, n),
+		floor: make([]float64, n),
+	}
+	selBuf, nextBuf := make([]edge, n*k), make([]edge, n*k)
+	for u := 0; u < n; u++ {
+		inc.sel[u] = selBuf[u*k : u*k : (u+1)*k]
+		inc.next[u] = nextBuf[u*k : u*k : (u+1)*k]
+	}
+	return inc
 }
 
 // Graph returns the maintained graph. It is mutated in place by Repair;
 // callers must not modify it.
 func (inc *Incremental) Graph() *Graph { return inc.g }
 
-// Repair brings the maintained graph to Builder.FromCorrelation(corr).
-// corr must be the full n×n symmetric correlation matrix. It returns the
-// number of structural changes applied — edges inserted or removed, not
-// counting weight-only updates — which callers use to decide whether the
-// graph's topology is stable enough for warm-started community detection.
+// Repair brings the maintained graph to Builder.FromCorrelation of the
+// matrix corr reads. It returns the number of structural changes applied —
+// edges inserted or removed, not counting weight-only updates — which
+// callers use to decide whether the graph's topology is stable enough for
+// warm-started community detection.
 //
-// dirty is the caller's promise about what changed since the previous
-// Repair: dirty[i] == false asserts sensor i's window data — and therefore
-// every corr entry involving i — is unchanged. A nil dirty (or the first
-// call) treats everything as changed. Over-marking is always safe;
-// under-marking breaks the equivalence invariant.
-func (inc *Incremental) Repair(corr [][]float64, dirty []bool) (structural int) {
+// One pass over the triangle offers each pair's correlation to both
+// endpoints' bounded K-slot candidate sets; most offers fail the single
+// comparison against the set's floor. Each set is then sorted by id and
+// diffed against the previous round's.
+func (inc *Incremental) Repair(corr Triangle) (structural int) {
 	n := inc.n
-	inc.dirtyIx = inc.dirtyIx[:0]
-	all := !inc.init || dirty == nil || len(dirty) != n
-	if !all {
-		for j, d := range dirty {
-			if d {
-				inc.dirtyIx = append(inc.dirtyIx, j)
+	for u := 0; u < n; u++ {
+		inc.next[u] = inc.next[u][:0]
+		inc.floor[u] = inc.seedFloor(u, corr)
+	}
+	floor := inc.floor
+	for i := 0; i < n; i++ {
+		row := corr.UpperRow(i)
+		fj := floor[i+1 : i+1+len(row)]
+		for t, w := range row {
+			a := math.Abs(w)
+			if a >= floor[i] {
+				inc.offer(i, i+1+t, w)
+			}
+			if a >= fj[t] {
+				inc.offer(i+1+t, i, w)
 			}
 		}
-		if len(inc.dirtyIx) == 0 {
-			return 0 // nothing changed, graph already exact
-		}
 	}
 	for u := 0; u < n; u++ {
-		if all {
-			inc.need[u] = true
-			continue
-		}
-		inc.need[u] = dirty[u] || inc.touched(u, corr)
+		sortByID(inc.next[u])
 	}
 
-	// Phase A: recompute the top-K of every vertex that needs it. Staged
-	// so phase B can consult each endpoint's up-to-date selection.
-	for u := 0; u < n; u++ {
-		if inc.need[u] {
-			inc.staged[u] = inc.selectFor(u, corr)
-		}
-	}
-
-	// Phase B: apply edge diffs. An undirected edge (u,v) exists iff at
-	// least one endpoint selects the other with |w| ≥ τ, so removal needs
-	// both endpoints' current view while insertion needs only one.
+	// Apply the edge diff. An undirected edge (u,v) exists iff at least one
+	// endpoint selects the other with |w| ≥ τ, so removal needs both
+	// endpoints' new selections while insertion needs only one.
 	tau := inc.b.Tau
 	for u := 0; u < n; u++ {
-		if !inc.need[u] {
-			continue
-		}
-		for _, e := range inc.byID[u] {
+		for _, e := range inc.sel[u] {
 			if math.Abs(e.w) < tau {
 				continue
 			}
-			if !wants(inc.staged[u], e.v, tau) && !wants(inc.current(e.v), u, tau) {
+			if !wants(inc.next[u], e.v, tau) && !wants(inc.next[e.v], u, tau) {
 				if inc.g.HasEdge(u, e.v) {
 					structural++
 				}
 				inc.g.RemoveEdge(u, e.v)
 			}
 		}
-		for _, e := range inc.staged[u] {
-			if math.Abs(e.w) >= tau {
-				if !inc.g.HasEdge(u, e.v) {
-					structural++
-				}
-				inc.g.SetEdge(u, e.v, e.w)
+		for _, e := range inc.next[u] {
+			if math.Abs(e.w) < tau || e.v < u && wants(inc.next[e.v], u, tau) {
+				continue // pruned, or already set from e.v's side
 			}
+			if !inc.g.HasEdge(u, e.v) {
+				structural++
+			}
+			inc.g.SetEdge(u, e.v, e.w)
 		}
 	}
-
-	// Phase C: commit the staged selections. The swap keeps the old list's
-	// backing array around for the next round's staging.
-	for u := 0; u < n; u++ {
-		if !inc.need[u] {
-			continue
-		}
-		inc.byID[u], inc.staged[u] = inc.staged[u], inc.byID[u]
-		inc.commitBoundary(u)
-	}
-	inc.init = true
+	inc.sel, inc.next = inc.next, inc.sel
 	return structural
 }
 
-// current returns v's selection as of this Repair: the staged list when v
-// was recomputed this round, its committed list otherwise.
-func (inc *Incremental) current(v int) []edge {
-	if inc.need[v] {
-		return inc.staged[v]
+// seedFloor returns the weakest current |correlation| between u and its K
+// previous neighbors, or −1 when u has no full previous selection. u's K
+// strongest candidates are at least as strong as any K of them, so no offer
+// below this value can enter; and with correlations drifting slowly between
+// rounds it sits close to the new K-th, which keeps most offers off the
+// insertion path.
+func (inc *Incremental) seedFloor(u int, corr Triangle) float64 {
+	prev := inc.sel[u]
+	if len(prev) < inc.b.K {
+		return -1
 	}
-	return inc.byID[v]
+	floor := math.Inf(1)
+	for _, e := range prev {
+		var w float64
+		if u < e.v {
+			w = corr.At(u, e.v)
+		} else {
+			w = corr.At(e.v, u)
+		}
+		a := math.Abs(w)
+		if !(a >= 0) { // NaN: no usable bound
+			return -1
+		}
+		floor = min(floor, a)
+	}
+	return floor
+}
+
+// offer inserts candidate (v, w) into u's ranked candidate set if it ranks
+// among the K best seen so far, evicting the worst when the set is full.
+func (inc *Incremental) offer(u, v int, w float64) {
+	set := inc.next[u]
+	p := len(set)
+	for p > 0 && rankBefore(w, v, set[p-1].w, set[p-1].v) {
+		p--
+	}
+	k := cap(set)
+	if p == k {
+		return
+	}
+	if len(set) < k {
+		set = set[:len(set)+1]
+	}
+	copy(set[p+1:], set[p:len(set)-1])
+	set[p] = edge{v, w}
+	inc.next[u] = set
+	if len(set) == k {
+		inc.floor[u] = math.Abs(set[k-1].w)
+	}
+}
+
+// sortByID orders a candidate set by neighbor id. Sets hold K entries, so a
+// plain insertion sort beats a general-purpose one.
+func sortByID(set []edge) {
+	for i := 1; i < len(set); i++ {
+		e := set[i]
+		j := i
+		for ; j > 0 && set[j-1].v > e.v; j-- {
+			set[j] = set[j-1]
+		}
+		set[j] = e
+	}
 }
 
 // wants reports whether the id-sorted selection list keeps v as a τ-passing
@@ -176,112 +236,4 @@ func (inc *Incremental) current(v int) []edge {
 func wants(list []edge, v int, tau float64) bool {
 	i := sort.Search(len(list), func(i int) bool { return list[i].v >= v })
 	return i < len(list) && list[i].v == v && math.Abs(list[i].w) >= tau
-}
-
-// touched reports whether any dirty sensor can change clean vertex u's
-// top-K selection: either it already sits in u's top-K (its weight changed,
-// which can reorder the list or cross τ), or its new correlation now ranks
-// at or above u's rank-K boundary.
-func (inc *Incremental) touched(u int, corr [][]float64) bool {
-	row := corr[u]
-	for _, j := range inc.dirtyIx {
-		if j == u {
-			continue
-		}
-		if wantsAny(inc.byID[u], j) {
-			return true
-		}
-		if rankBefore(row[j], j, inc.kthW[u], inc.kthV[u]) {
-			return true
-		}
-	}
-	return false
-}
-
-// wantsAny reports membership in the id-sorted selection regardless of τ.
-func wantsAny(list []edge, v int) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i].v >= v })
-	return i < len(list) && list[i].v == v
-}
-
-// selectFor computes u's top-K candidates under the batch builder's exact
-// order and returns them sorted by neighbor id, reusing u's retired staging
-// buffer to keep the steady state allocation-free.
-func (inc *Incremental) selectFor(u int, corr [][]float64) []edge {
-	n, k := inc.n, inc.b.K
-	cand := inc.cand[:0]
-	row := corr[u]
-	for v := 0; v < n; v++ {
-		if v != u {
-			cand = append(cand, edge{v, row[v]})
-		}
-	}
-	inc.cand = cand
-	topK(cand, k)
-	sel := inc.staged[u][:0]
-	if cap(sel) < k {
-		sel = make([]edge, 0, k)
-	}
-	sel = append(sel, cand[:k]...)
-	sort.Slice(sel, func(i, j int) bool { return sel[i].v < sel[j].v })
-	return sel
-}
-
-// commitBoundary recomputes the rank-K boundary of u's committed selection.
-func (inc *Incremental) commitBoundary(u int) {
-	list := inc.byID[u]
-	first := true
-	for _, e := range list {
-		if first || rankBefore(inc.kthW[u], inc.kthV[u], e.w, e.v) {
-			inc.kthW[u], inc.kthV[u] = e.w, e.v
-			first = false
-		}
-	}
-}
-
-// topK partially selects the k rank-first candidates into cand[:k] using
-// quickselect under rankBefore. The comparator is a strict total order, so
-// the selected set is unique regardless of pivot choices.
-func topK(cand []edge, k int) {
-	if k >= len(cand) {
-		return
-	}
-	lo, hi := 0, len(cand)-1
-	for lo < hi {
-		p := partitionRank(cand, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-// partitionRank is a Hoare-style partition with a median-of-three pivot
-// under rankBefore, returning the pivot's final index.
-func partitionRank(cand []edge, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if rankBefore(cand[mid].w, cand[mid].v, cand[lo].w, cand[lo].v) {
-		cand[lo], cand[mid] = cand[mid], cand[lo]
-	}
-	if rankBefore(cand[hi].w, cand[hi].v, cand[lo].w, cand[lo].v) {
-		cand[lo], cand[hi] = cand[hi], cand[lo]
-	}
-	if rankBefore(cand[hi].w, cand[hi].v, cand[mid].w, cand[mid].v) {
-		cand[mid], cand[hi] = cand[hi], cand[mid]
-	}
-	pivot := cand[mid]
-	cand[mid], cand[hi-1] = cand[hi-1], cand[mid]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if rankBefore(cand[j].w, cand[j].v, pivot.w, pivot.v) {
-			cand[i], cand[j] = cand[j], cand[i]
-			i++
-		}
-	}
-	cand[i], cand[hi-1] = cand[hi-1], cand[i]
-	return i
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -27,14 +28,12 @@ func randCorr(rng *rand.Rand, n int, quant float64) [][]float64 {
 	return m
 }
 
-// perturbSensors changes every correlation involving each chosen sensor and
-// returns the dirty mask.
-func perturbSensors(rng *rand.Rand, corr [][]float64, count int, quant float64) []bool {
+// perturbSensors redraws every correlation involving count random sensors.
+func perturbSensors(rng *rand.Rand, corr [][]float64, count int, quant float64) {
 	n := len(corr)
-	dirty := make([]bool, n)
 	for c := 0; c < count; c++ {
 		s := rng.Intn(n)
-		dirty[s] = true
+		corr[s][s] = 1
 		for j := 0; j < n; j++ {
 			if j == s {
 				continue
@@ -46,7 +45,61 @@ func perturbSensors(rng *rand.Rand, corr [][]float64, count int, quant float64) 
 			corr[s][j], corr[j][s] = v, v
 		}
 	}
-	return dirty
+}
+
+// flatten zeroes sensor s's row and column, diagonal included — how
+// PearsonMatrix reports a constant sensor.
+func flatten(corr [][]float64, s int) {
+	for j := range corr {
+		corr[s][j], corr[j][s] = 0, 0
+	}
+}
+
+// sortedGraph is the selection oracle: every vertex's candidates fully
+// sorted by |w| descending, ties toward the lower id, the K first kept when
+// |w| ≥ τ.
+func sortedGraph(b Builder, corr [][]float64) *Graph {
+	n := len(corr)
+	g := NewGraph(n)
+	for u := 0; u < n; u++ {
+		var cands []edge
+		for v := 0; v < n; v++ {
+			if v != u {
+				cands = append(cands, edge{v, corr[u][v]})
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			ai, aj := math.Abs(cands[i].w), math.Abs(cands[j].w)
+			if ai != aj {
+				return ai > aj
+			}
+			return cands[i].v < cands[j].v
+		})
+		for _, c := range cands[:b.K] {
+			if math.Abs(c.w) >= b.Tau {
+				g.SetEdge(u, c.v, c.w)
+			}
+		}
+	}
+	return g
+}
+
+// edgeDiff counts the undirected edges present in exactly one of a and b.
+func edgeDiff(a, b *Graph) int {
+	d := 0
+	for u := 0; u < a.N(); u++ {
+		for _, v := range a.NeighborsSorted(u) {
+			if u < v && !b.HasEdge(u, v) {
+				d++
+			}
+		}
+		for _, v := range b.NeighborsSorted(u) {
+			if u < v && !a.HasEdge(u, v) {
+				d++
+			}
+		}
+	}
+	return d
 }
 
 func sameGraph(a, b *Graph) error {
@@ -71,6 +124,11 @@ func sameGraph(a, b *Graph) error {
 	return nil
 }
 
+// TestIncrementalMatchesBatchRandomized drives the repairer through a
+// sequence of correlation matrices — a few sensors redrawn per round,
+// sometimes none, sometimes one going constant — and requires after every
+// round that the graph equals both FromCorrelation and the full-sort
+// oracle, and that the structural count is the exact edge-set difference.
 func TestIncrementalMatchesBatchRandomized(t *testing.T) {
 	cases := []struct {
 		n, k  int
@@ -92,28 +150,34 @@ func TestIncrementalMatchesBatchRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			corr := randCorr(rng, tc.n, tc.quant)
-			inc.Repair(corr, nil)
+			prev := NewGraph(tc.n)
 			for step := 0; step < 60; step++ {
-				var dirty []bool
-				switch step % 4 {
-				case 0:
-					dirty = perturbSensors(rng, corr, 1, tc.quant)
+				switch step % 5 {
 				case 1:
-					dirty = perturbSensors(rng, corr, 3, tc.quant)
+					perturbSensors(rng, corr, 1, tc.quant)
 				case 2:
-					dirty = make([]bool, tc.n) // nothing changed
+					perturbSensors(rng, corr, 3, tc.quant)
 				case 3:
-					perturbSensors(rng, corr, 2, tc.quant)
-					dirty = nil // all-dirty fallback
+					flatten(corr, rng.Intn(tc.n))
+				case 4:
+					perturbSensors(rng, corr, tc.n, tc.quant)
 				}
-				inc.Repair(corr, dirty)
-				want, err := b.FromCorrelation(corr)
+				structural := inc.Repair(Dense(corr))
+				want := sortedGraph(b, corr)
+				if err := sameGraph(inc.Graph(), want); err != nil {
+					t.Fatalf("step %d: repair vs oracle: %v", step, err)
+				}
+				batch, err := b.FromCorrelation(corr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sameGraph(inc.Graph(), want); err != nil {
-					t.Fatalf("step %d: %v", step, err)
+				if err := sameGraph(batch, want); err != nil {
+					t.Fatalf("step %d: FromCorrelation vs oracle: %v", step, err)
 				}
+				if d := edgeDiff(prev, want); structural != d {
+					t.Fatalf("step %d: structural = %d, edge sets differ by %d", step, structural, d)
+				}
+				prev = want
 			}
 		})
 	}
@@ -128,34 +192,33 @@ func TestIncrementalConstantRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	corr := randCorr(rng, n, 0)
-	// Sensor 4 goes constant: PearsonMatrix zeroes its whole row/column
-	// including the diagonal.
-	for j := 0; j < n; j++ {
-		corr[4][j], corr[j][4] = 0, 0
-	}
-	inc.Repair(corr, nil)
-	want, _ := b.FromCorrelation(corr)
-	if err := sameGraph(inc.Graph(), want); err != nil {
+	flatten(corr, 4)
+	inc.Repair(Dense(corr))
+	if err := sameGraph(inc.Graph(), sortedGraph(b, corr)); err != nil {
 		t.Fatal(err)
 	}
 	if inc.Graph().Degree(4) != 0 {
 		t.Fatalf("constant sensor has degree %d, want 0", inc.Graph().Degree(4))
 	}
-	// It comes back to life: only sensor 4 is dirty.
+	// It comes back to life.
+	corr[4][4] = 1
 	for j := 0; j < n; j++ {
-		if j == 4 {
-			corr[4][4] = 1
-			continue
+		if j != 4 {
+			v := 2*rng.Float64() - 1
+			corr[4][j], corr[j][4] = v, v
 		}
-		v := 2*rng.Float64() - 1
-		corr[4][j], corr[j][4] = v, v
 	}
-	dirty := make([]bool, n)
-	dirty[4] = true
-	inc.Repair(corr, dirty)
-	want, _ = b.FromCorrelation(corr)
-	if err := sameGraph(inc.Graph(), want); err != nil {
+	inc.Repair(Dense(corr))
+	if err := sameGraph(inc.Graph(), sortedGraph(b, corr)); err != nil {
 		t.Fatal(err)
+	}
+	// Every sensor constant: every correlation ties at 0, which τ > 0 prunes.
+	for s := 0; s < n; s++ {
+		flatten(corr, s)
+	}
+	inc.Repair(Dense(corr))
+	if e := inc.Graph().Edges(); e != 0 {
+		t.Fatalf("all-constant matrix left %d edges", e)
 	}
 }
 
@@ -174,14 +237,81 @@ func TestIncrementalCleanRepairIsNoop(t *testing.T) {
 	b := Builder{K: k, Tau: 0.3}
 	inc, _ := NewIncremental(b, n)
 	corr := randCorr(rng, n, 0)
-	inc.Repair(corr, nil)
+	inc.Repair(Dense(corr))
 	before := inc.Graph().Edges()
-	inc.Repair(corr, make([]bool, n))
-	if inc.Graph().Edges() != before {
-		t.Fatalf("clean repair changed edges: %d vs %d", inc.Graph().Edges(), before)
+	if s := inc.Repair(Dense(corr)); s != 0 {
+		t.Fatalf("repeat repair reported %d structural changes", s)
 	}
-	want, _ := b.FromCorrelation(corr)
-	if err := sameGraph(inc.Graph(), want); err != nil {
+	if inc.Graph().Edges() != before {
+		t.Fatalf("repeat repair changed edges: %d vs %d", inc.Graph().Edges(), before)
+	}
+	if err := sameGraph(inc.Graph(), sortedGraph(b, corr)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIncrementalRepairAllocsNothing pins the steady state of the streaming
+// round's selection and repair at zero allocations. The matrices alternate,
+// so every round moves weights and edges through the reused candidate sets
+// and adjacency maps.
+func TestIncrementalRepairAllocsNothing(t *testing.T) {
+	const n, k = 200, 10
+	rng := rand.New(rand.NewSource(8))
+	// Converted to Triangle once: boxing a slice in an interface allocates.
+	var a, c Triangle = Dense(randCorr(rng, n, 0)), Dense(randCorr(rng, n, 0))
+	inc, err := NewIncremental(Builder{K: k, Tau: 0.2}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // let the adjacency maps reach their size
+		inc.Repair(a)
+		inc.Repair(c)
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if round++; round%2 == 0 {
+			inc.Repair(a)
+		} else {
+			inc.Repair(c)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state repair allocates %v times per round", allocs)
+	}
+}
+
+// BenchmarkIncrementalRepair times one streaming round's selection and
+// repair at n=1000, k=10 on block-structured correlations (40 communities
+// of 25) that drift between two states.
+func BenchmarkIncrementalRepair(b *testing.B) {
+	const n, k, groups = 1000, 10, 40
+	rng := rand.New(rand.NewSource(3))
+	mk := func() Triangle {
+		m := randCorr(rng, n, 0)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if i%groups == j%groups {
+					v := 0.7 + 0.3*rng.Float64()
+					m[i][j], m[j][i] = v, v
+				} else {
+					m[i][j] *= 0.3
+					m[j][i] = m[i][j]
+				}
+			}
+		}
+		return Dense(m)
+	}
+	a, c := mk(), mk()
+	inc, err := NewIncremental(Builder{K: k, Tau: 0.4}, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			inc.Repair(a)
+		} else {
+			inc.Repair(c)
+		}
 	}
 }

@@ -165,39 +165,13 @@ func (b Builder) FromCorrelation(corr [][]float64) (*Graph, error) {
 	return b.fromCorrelation(corr), nil
 }
 
+// fromCorrelation selects each vertex's K strongest correlations under
+// rankBefore, pruned at τ, with the same routine the streaming path repairs
+// with.
 func (b Builder) fromCorrelation(corr [][]float64) *Graph {
-	n := len(corr)
-	g := NewGraph(n)
-	type cand struct {
-		v int
-		w float64
-	}
-	cands := make([]cand, 0, n-1)
-	for u := 0; u < n; u++ {
-		cands = cands[:0]
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			cands = append(cands, cand{v, corr[u][v]})
-		}
-		// Select the K strongest by |correlation|; ties break on lower
-		// vertex id for determinism.
-		sort.Slice(cands, func(i, j int) bool {
-			ai, aj := math.Abs(cands[i].w), math.Abs(cands[j].w)
-			if ai != aj {
-				return ai > aj
-			}
-			return cands[i].v < cands[j].v
-		})
-		for _, c := range cands[:b.K] {
-			if math.Abs(c.w) < b.Tau {
-				break // sorted by |w|: everything after is weaker
-			}
-			g.SetEdge(u, c.v, c.w)
-		}
-	}
-	return g
+	inc := newIncremental(b, len(corr))
+	inc.Repair(Dense(corr))
+	return inc.g
 }
 
 // BuildSequence converts every round of the windowed MTS into a TSG,
