@@ -179,7 +179,14 @@ func TestWebhookBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish(Event{Stream: "s", Type: TypeAlarm})
-	waitFor(t, "delivery through the breaker", func() bool { return len(srv.delivered()) == 1 })
+	// The sink counts the delivery after it has recorded the success on the
+	// breaker; the server sees the request before that.
+	waitFor(t, "delivery through the breaker", func() bool {
+		return counterValue(b.reg, "cad_alerts_delivered_total", "hook") == 1
+	})
+	if n := len(srv.delivered()); n != 1 {
+		t.Fatalf("server received %d deliveries, want 1", n)
+	}
 	if got := gaugeValue(b.reg, "cad_alert_breaker_state", "hook"); got != BreakerClosed {
 		t.Fatalf("final breaker state = %v, want closed (%d)", got, BreakerClosed)
 	}
