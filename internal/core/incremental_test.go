@@ -216,18 +216,49 @@ func TestIncrementalSaveLoadBitIdentical(t *testing.T) {
 }
 
 // rewriteSnapshot decodes a SaveState snapshot, applies edit, and re-encodes
-// it — the way to forge snapshots older code wrote.
+// it — the way to forge snapshots older code wrote. edit sees a version-4
+// snapshot's raw sections in the fields versions 2 and 3 kept them in: the
+// ring in Ring and the triangle's bytes in AccSXYBits. An edited snapshot
+// that is still version 4 is written back as header plus raw sections, the
+// triangle bytes verbatim, so edits can truncate or extend them.
 func rewriteSnapshot(t testing.TB, snap []byte, edit func(*persistedStreamer)) *bytes.Buffer {
 	t.Helper()
+	r := bytes.NewReader(snap)
 	var st persistedStreamer
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		t.Fatal(err)
+	}
+	if st.Version == streamerPersistVersion {
+		det, err := LoadDetector(bytes.NewReader(st.Detector))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, sectionChunk)
+		st.Ring = make([][]float64, det.Sensors())
+		for i := range st.Ring {
+			st.Ring[i] = make([]float64, det.Config().Window.W)
+			if err := readSection(r, buf, st.Ring[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.HasAcc {
+			st.AccSXYBits = snap[len(snap)-r.Len():]
+		}
 	}
 	edit(&st)
 	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&st); err != nil {
+	if st.Version != streamerPersistVersion {
+		if err := gob.NewEncoder(&out).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	ring, bits := st.Ring, st.AccSXYBits
+	st.Ring, st.AccSXYBits = nil, nil
+	if err := writeStreamerSnapshot(&out, &st, ring, nil); err != nil {
 		t.Fatal(err)
 	}
+	out.Write(bits)
 	return &out
 }
 

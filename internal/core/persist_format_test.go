@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cad/internal/mts"
@@ -23,8 +28,32 @@ func unpackUpper(packed []float64, n int) []float64 {
 	return full
 }
 
-// asVersion2 forges the snapshot the previous format would have written for
-// the same streamer state.
+// floatBits encodes xs as little-endian IEEE-754 bits, 8 bytes per value:
+// the layout of version 3's AccSXYBits and of version 4's raw sections.
+func floatBits(xs []float64) []byte {
+	b := make([]byte, 0, 8*len(xs))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// bitsFloats decodes floatBits' encoding; len(b) must be a multiple of 8.
+func bitsFloats(b []byte) []float64 {
+	xs := make([]float64, len(b)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return xs
+}
+
+// asVersion3 forges the snapshot version 3 would have written for the same
+// streamer state: rewriteSnapshot already presents the sections in version
+// 3's fields.
+func asVersion3(st *persistedStreamer) { st.Version = streamerPersistPackedBits }
+
+// asVersion2 forges the snapshot version 2 would have written for the same
+// streamer state.
 func asVersion2(st *persistedStreamer) {
 	st.Version = streamerPersistFullSXY
 	st.AccSXY = unpackUpper(bitsFloats(st.AccSXYBits), len(st.Ring))
@@ -41,7 +70,16 @@ func pushRange(t *testing.T, sr *Streamer, series *mts.MTS, from, to int) []Roun
 // TestLoadStreamerVersion2 restores forged version-2 snapshots — the full
 // n×n pair-sum array — once mid-window and once on each side of an exact
 // refresh, and requires reports bit-identical to an uninterrupted streamer.
-func TestLoadStreamerVersion2(t *testing.T) {
+func TestLoadStreamerVersion2(t *testing.T) { checkForgedRestore(t, asVersion2) }
+
+// TestLoadStreamerVersion3 does the same for forged version-3 snapshots,
+// whose ring and packed pair sums sit inside the gob header.
+func TestLoadStreamerVersion3(t *testing.T) { checkForgedRestore(t, asVersion3) }
+
+// checkForgedRestore saves a streamer at ticks 173, 71 and 72, forges each
+// snapshot with forge, restores it, and requires the rest of the stream to
+// report bit-identically to an uninterrupted streamer.
+func checkForgedRestore(t *testing.T, forge func(*persistedStreamer)) {
 	series := synth(31, 3, 4, 520, []int{2, 9}, 250, 360)
 	mk := func() *Streamer {
 		det, err := NewDetector(12, incConfig(8))
@@ -60,7 +98,7 @@ func TestLoadStreamerVersion2(t *testing.T) {
 			if err := sr.SaveState(&snap); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := LoadStreamer(rewriteSnapshot(t, snap.Bytes(), asVersion2))
+			restored, err := LoadStreamer(rewriteSnapshot(t, snap.Bytes(), forge))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,9 +115,87 @@ func TestLoadStreamerVersion2(t *testing.T) {
 	}
 }
 
-// TestLoadStreamerRejectsWrongSXYLength: each version's pair sums must have
-// that version's length.
+// TestLoadStreamerRejectsWrongSXYLength: each older version's pair sums
+// must have that version's length.
 func TestLoadStreamerRejectsWrongSXYLength(t *testing.T) {
+	snap := smallSnapshot(t)
+	for name, edit := range map[string]func(*persistedStreamer){
+		"v3-full": func(st *persistedStreamer) {
+			asVersion3(st)
+			st.AccSXYBits = floatBits(unpackUpper(bitsFloats(st.AccSXYBits), 12))
+		},
+		"v3-short": func(st *persistedStreamer) {
+			asVersion3(st)
+			st.AccSXYBits = st.AccSXYBits[8:]
+		},
+		"v3-ragged": func(st *persistedStreamer) {
+			asVersion3(st)
+			st.AccSXYBits = st.AccSXYBits[:len(st.AccSXYBits)-1]
+		},
+		"v2-packed": func(st *persistedStreamer) {
+			st.Version = streamerPersistFullSXY
+			st.AccSXY = bitsFloats(st.AccSXYBits)
+			st.AccSXYBits = nil
+		},
+	} {
+		if _, err := LoadStreamer(rewriteSnapshot(t, snap, edit)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestLoadStreamerRejectsBadSections: a version-4 snapshot's raw sections
+// must hold exactly the ring and the triangle, every value finite, and its
+// header must leave them out.
+func TestLoadStreamerRejectsBadSections(t *testing.T) {
+	snap := smallSnapshot(t)
+	if _, err := LoadStreamer(rewriteSnapshot(t, snap, func(*persistedStreamer) {})); err != nil {
+		t.Fatalf("unedited rewrite rejected: %v", err)
+	}
+	inf := floatBits([]float64{math.Inf(1)})
+	for name, edit := range map[string]func(*persistedStreamer){
+		"ring-short": func(st *persistedStreamer) { st.Ring[11] = st.Ring[11][:len(st.Ring[11])-1] },
+		"sums-short": func(st *persistedStreamer) { st.AccSXYBits = st.AccSXYBits[:len(st.AccSXYBits)-8] },
+		"sums-ragged": func(st *persistedStreamer) {
+			st.AccSXYBits = st.AccSXYBits[:len(st.AccSXYBits)-1]
+		},
+		"sums-missing": func(st *persistedStreamer) { st.AccSXYBits = nil },
+		"no-accumulator": func(st *persistedStreamer) {
+			st.HasAcc, st.AccRef, st.AccSX, st.AccSXYBits, st.AccCount = false, nil, nil, nil, 0
+		},
+		"trailing": func(st *persistedStreamer) {
+			st.AccSXYBits = append(slices.Clone(st.AccSXYBits), 0)
+		},
+		"ring-nan": func(st *persistedStreamer) { st.Ring[3][1] = math.NaN() },
+		"sums-inf": func(st *persistedStreamer) {
+			st.AccSXYBits = slices.Clone(st.AccSXYBits)
+			copy(st.AccSXYBits[16:], inf)
+		},
+	} {
+		if _, err := LoadStreamer(rewriteSnapshot(t, snap, edit)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	// A header that also carries a ring is not a version-4 header.
+	var st persistedStreamer
+	r := bytes.NewReader(snap)
+	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	st.Ring = [][]float64{{1}}
+	var forged bytes.Buffer
+	if err := gob.NewEncoder(&forged).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	forged.Write(snap[len(snap)-r.Len():])
+	if _, err := LoadStreamer(&forged); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("header ring: err = %v, want ErrBadConfig", err)
+	}
+}
+
+// smallSnapshot returns the snapshot of a 12-sensor streamer 10 columns in.
+func smallSnapshot(t *testing.T) []byte {
+	t.Helper()
 	det, err := NewDetector(12, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -90,27 +206,11 @@ func TestLoadStreamerRejectsWrongSXYLength(t *testing.T) {
 	if err := sr.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for name, edit := range map[string]func(*persistedStreamer){
-		"v3-full": func(st *persistedStreamer) {
-			st.AccSXYBits = floatBits(unpackUpper(bitsFloats(st.AccSXYBits), 12))
-		},
-		"v3-short": func(st *persistedStreamer) { st.AccSXYBits = st.AccSXYBits[8:] },
-		"v3-ragged": func(st *persistedStreamer) {
-			st.AccSXYBits = st.AccSXYBits[:len(st.AccSXYBits)-1]
-		},
-		"v2-packed": func(st *persistedStreamer) {
-			st.Version = streamerPersistFullSXY
-			st.AccSXY = bitsFloats(st.AccSXYBits)
-		},
-	} {
-		if _, err := LoadStreamer(rewriteSnapshot(t, snap.Bytes(), edit)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
+	return snap.Bytes()
 }
 
-// TestStreamerSnapshotSize compares the version-3 snapshot of an n=1000,
-// w=64 stream with the version-2 one of the same state, and reports both.
+// TestStreamerSnapshotSize compares the version-4 snapshot of an n=1000,
+// w=64 stream with the version-3 one of the same state, and reports both.
 func TestStreamerSnapshotSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-sensor snapshot")
@@ -133,25 +233,26 @@ func TestStreamerSnapshotSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var v3 bytes.Buffer
-	if err := sr.SaveState(&v3); err != nil {
+	var v4 bytes.Buffer
+	if err := sr.SaveState(&v4); err != nil {
 		t.Fatal(err)
 	}
-	v2 := rewriteSnapshot(t, v3.Bytes(), asVersion2)
-	t.Logf("snapshot bytes at n=%d, w=%d: v3 %d, v2 %d (%.0f%%)", n, w, v3.Len(), v2.Len(), 100*float64(v3.Len())/float64(v2.Len()))
-	// gob writes each of v2's never-used lower-half zeros in one byte, so
-	// packing saves about n²/2 bytes, not half the file.
-	if saved := v2.Len() - v3.Len(); saved < n*(n-1)/2 {
-		t.Fatalf("v3 saves %d bytes over v2, want at least %d", saved, n*(n-1)/2)
+	v3 := rewriteSnapshot(t, v4.Bytes(), asVersion3)
+	t.Logf("snapshot bytes at n=%d, w=%d: v4 %d, v3 %d (%.1f%%)", n, w, v4.Len(), v3.Len(), 100*float64(v4.Len())/float64(v3.Len()))
+	// Both store the triangle as raw bits. gob codes a random reading in 9
+	// bytes and the raw ring in 8, while an empty slot costs 8 raw bytes
+	// against gob's 1: the filled slots outweigh the empty column.
+	if saved := v3.Len() - v4.Len(); saved < n*w/2 {
+		t.Fatalf("v4 saves %d bytes over v3, want at least %d", saved, n*w/2)
 	}
-	if _, err := LoadStreamer(v2); err != nil {
+	if _, err := LoadStreamer(v3); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// FuzzLoadStreamer feeds LoadStreamer valid version-2 and version-3
-// snapshots, their truncations and mutations. It must return an error or a
-// streamer that keeps working; it must never panic.
+// FuzzLoadStreamer feeds LoadStreamer valid version-2, version-3 and
+// version-4 snapshots, their truncations and mutations. It must return an
+// error or a streamer that keeps working; it must never panic.
 func FuzzLoadStreamer(f *testing.F) {
 	series := synth(5, 2, 3, 60, nil, -1, -1)
 	cfg := testConfig()
@@ -170,9 +271,10 @@ func FuzzLoadStreamer(f *testing.F) {
 		if err := sr.SaveState(&snap); err != nil {
 			f.Fatal(err)
 		}
-		v3 := snap.Bytes()
-		v2 := rewriteSnapshot(f, v3, asVersion2).Bytes()
-		for _, b := range [][]byte{v3, v2} {
+		v4 := snap.Bytes()
+		v3 := rewriteSnapshot(f, v4, asVersion3).Bytes()
+		v2 := rewriteSnapshot(f, v4, asVersion2).Bytes()
+		for _, b := range [][]byte{v3, v2, v4} {
 			f.Add(b)
 			f.Add(b[:len(b)/2])
 			f.Add(b[:len(b)-1])

@@ -175,6 +175,8 @@ type Manager struct {
 	restores    *obs.Counter
 	snapFails   *obs.Counter
 	snapRetries *obs.Counter
+	snapSeconds *obs.Histogram
+	snapBytes   *obs.Counter
 	quarantined *obs.Counter
 	walAppends  *obs.Counter
 	walErrors   *obs.Counter
@@ -271,6 +273,10 @@ func New(o Options) *Manager {
 			"Failed snapshot writes; the stream stays resident."),
 		snapRetries: o.Registry.Counter("cad_snapshot_retries_total",
 			"Snapshot write attempts retried after a transient error."),
+		snapSeconds: o.Registry.Histogram("cad_snapshot_write_seconds",
+			"Time per snapshot write attempt (create, checkpoint, evict, restore fold), under the stream lock.", obs.DefBuckets),
+		snapBytes: o.Registry.Counter("cad_snapshot_bytes_total",
+			"Bytes of snapshot files written."),
 		quarantined: o.Registry.Counter("cad_snapshot_quarantined_total",
 			"Corrupt snapshots or WALs renamed *.corrupt instead of restored."),
 		walAppends: o.Registry.Counter("cad_wal_appends_total",

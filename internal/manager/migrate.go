@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"time"
 
 	"cad/internal/core"
@@ -30,21 +31,20 @@ type StreamExport struct {
 	Tail     []TailRecord
 }
 
-// sealStream encodes st's full persistent state as a sealed snapshot —
-// the bytes writeSnapshot would put on disk. Caller holds st.mu (or the
-// stream is still private).
-func (m *Manager) sealStream(st *stream) ([]byte, error) {
-	var streamer, tracker bytes.Buffer
-	if err := st.streamer.SaveState(&streamer); err != nil {
-		return nil, err
-	}
+// sealTo writes st's full persistent state to w as a sealed snapshot —
+// the envelope header, the streamer section, and the 12-byte CRC32-C
+// footer over both — and returns the bytes written. The CRC is computed as
+// the bytes go through, so the snapshot is never held in memory; every
+// caller gets the same bytes. Caller holds st.mu (or the stream is still
+// private).
+func sealTo(w io.Writer, st *stream) (int64, error) {
+	var tracker bytes.Buffer
 	if err := st.tracker.SaveState(&tracker); err != nil {
-		return nil, err
+		return 0, err
 	}
 	env := persistedStream{
 		Version:    streamSnapVersion,
 		ID:         st.id,
-		Streamer:   streamer.Bytes(),
 		Tracker:    tracker.Bytes(),
 		Tick:       st.tick,
 		Rounds:     st.rounds,
@@ -54,26 +54,52 @@ func (m *Manager) sealStream(st *stream) ([]byte, error) {
 		AnomalySeq: st.anomalySeq,
 		OpenID:     st.openID,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("manager: snapshot %s: %w", st.id, err)
+	cw := &crcWriter{w: w}
+	if err := gob.NewEncoder(cw).Encode(&env); err != nil {
+		return cw.n, fmt.Errorf("manager: snapshot %s: %w", st.id, err)
 	}
-	return appendFooter(buf.Bytes()), nil
+	if err := st.streamer.SaveState(cw); err != nil {
+		return cw.n, err
+	}
+	footer := sealFooter(cw.crc)
+	n, err := w.Write(footer[:])
+	return cw.n + int64(n), err
+}
+
+// sealStream returns st's sealed snapshot in memory: the bytes
+// writeSnapshot puts on disk. Caller holds st.mu.
+func sealStream(st *stream) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := sealTo(&buf, st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeSealed validates a sealed snapshot (footer, gob, version) and
-// returns its envelope.
+// returns its envelope, whose Streamer is the streamer section: nested in
+// a version-2 envelope, and for version 3 the rest of the payload after
+// the header, handed on as a subslice of raw without a copy.
 func decodeSealed(raw []byte) (persistedStream, error) {
 	var env persistedStream
 	payload, err := checkFooter(raw)
 	if err != nil {
 		return env, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	// gob reads a bytes.Reader exactly up to the header's end.
+	r := bytes.NewReader(payload)
+	if err := gob.NewDecoder(r).Decode(&env); err != nil {
 		return env, fmt.Errorf("%w: %v", errCorruptSnapshot, err)
 	}
-	if env.Version != streamSnapVersion {
-		return env, fmt.Errorf("%w: snapshot version %d, want %d", errCorruptSnapshot, env.Version, streamSnapVersion)
+	switch env.Version {
+	case streamSnapNested:
+	case streamSnapVersion:
+		if env.Streamer != nil {
+			return env, fmt.Errorf("%w: version-%d snapshot nests its streamer", errCorruptSnapshot, env.Version)
+		}
+		env.Streamer = payload[len(payload)-r.Len():]
+	default:
+		return env, fmt.Errorf("%w: snapshot version %d, want %d or %d", errCorruptSnapshot, env.Version, streamSnapNested, streamSnapVersion)
 	}
 	return env, nil
 }
@@ -140,7 +166,7 @@ func (m *Manager) Export(id string) (StreamExport, error) {
 		// in-memory seal, which needs neither.
 		exp.Tail = nil
 	}
-	data, err := m.sealStream(st)
+	data, err := sealStream(st)
 	if err != nil {
 		return StreamExport{}, err
 	}

@@ -1,14 +1,17 @@
 package manager
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"cad/internal/core"
@@ -43,9 +46,11 @@ func idFromSnapName(name string) (string, bool) {
 	return id, true
 }
 
-// persistedStream is the gob envelope of one stream checkpoint: the
-// streamer blob (detector + in-flight window, see core.Streamer.SaveState),
-// the tracker blob, and the serving state the HTTP layer reports.
+// persistedStream is the gob header of one stream checkpoint: the tracker
+// blob and the serving state the HTTP layer reports. From version 3 on the
+// streamer section (detector + in-flight window, see
+// core.Streamer.SaveState) follows the header directly; version 2 nested it
+// in Streamer, a second in-memory copy of the stream's largest state.
 type persistedStream struct {
 	Version   int
 	ID        string
@@ -64,16 +69,40 @@ type persistedStream struct {
 	OpenID     int
 }
 
-const streamSnapVersion = 2
+const (
+	streamSnapVersion = 3
+	streamSnapNested  = 2
+)
 
-// appendFooter seals the snapshot payload with a CRC32-C footer so restore
-// can tell a whole snapshot from a torn or bit-rotted one.
-func appendFooter(payload []byte) []byte {
-	footer := make([]byte, snapFooterSize)
-	binary.LittleEndian.PutUint32(footer, crc32.Checksum(payload, castagnoli))
+// snapWriters recycles the 64 KiB buffers between the sealed-snapshot
+// encoder and the temp file.
+var snapWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// crcWriter forwards writes to w, folding every byte into a CRC32-C and a
+// byte count on the way, so a snapshot is sealed without a second pass
+// over it.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.n += int64(n)
+	return n, err
+}
+
+// sealFooter is the footer that seals a snapshot whose bytes before it
+// have CRC32-C crc, so restore can tell a whole snapshot from a torn or
+// bit-rotted one.
+func sealFooter(crc uint32) [snapFooterSize]byte {
+	var footer [snapFooterSize]byte
+	binary.LittleEndian.PutUint32(footer[:], crc)
 	binary.LittleEndian.PutUint32(footer[4:], snapFooterVer)
 	binary.LittleEndian.PutUint32(footer[8:], snapMagic)
-	return append(payload, footer...)
+	return footer
 }
 
 // checkFooter validates and strips the footer, returning the gob payload.
@@ -95,14 +124,14 @@ func checkFooter(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// writeSnapshot persists st atomically: encode to memory, write a temp
-// file, fsync it (per the fsync policy), rename into place, and fsync the
-// directory so the rename itself survives a power cut. Caller holds st.mu.
+// writeSnapshot persists st atomically: stream the sealed snapshot into a
+// temp file, fsync it (per the fsync policy), rename into place, and fsync
+// the directory so the rename itself survives a power cut. Every attempt is
+// timed into cad_snapshot_write_seconds; a written file counts its bytes
+// into cad_snapshot_bytes_total. Caller holds st.mu.
 func (m *Manager) writeSnapshot(st *stream) error {
-	data, err := m.sealStream(st)
-	if err != nil {
-		return err
-	}
+	start := time.Now()
+	defer func() { m.snapSeconds.Observe(time.Since(start).Seconds()) }()
 	if err := m.fs.MkdirAll(m.opt.SnapshotDir, 0o755); err != nil {
 		return fmt.Errorf("manager: snapshot %s: %w", st.id, err)
 	}
@@ -113,7 +142,15 @@ func (m *Manager) writeSnapshot(st *stream) error {
 	if err != nil {
 		return fmt.Errorf("manager: snapshot %s: %w", st.id, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	bw := snapWriters.Get().(*bufio.Writer)
+	bw.Reset(tmp)
+	n, err := sealTo(bw, st)
+	if err == nil {
+		err = bw.Flush()
+	}
+	bw.Reset(nil)
+	snapWriters.Put(bw)
+	if err != nil {
 		tmp.Close()
 		_ = m.fs.Remove(tmpPath)
 		return fmt.Errorf("manager: snapshot %s: %w", st.id, err)
@@ -133,6 +170,7 @@ func (m *Manager) writeSnapshot(st *stream) error {
 		_ = m.fs.Remove(tmpPath)
 		return fmt.Errorf("manager: snapshot %s: %w", st.id, err)
 	}
+	m.snapBytes.Add(uint64(n))
 	if m.fsyncOn() {
 		if err := m.syncDir(m.opt.SnapshotDir); err != nil {
 			return fmt.Errorf("manager: snapshot %s: %w", st.id, err)
