@@ -118,20 +118,36 @@ func DecodeEvent(data []byte) (Event, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return Event{}, fmt.Errorf("alert: decode event: %w", err)
 	}
+	var ev Event
 	switch probe.V {
 	case 0: // legacy flat shape predating the envelope
-		var ev Event
 		if err := json.Unmarshal(data, &ev); err != nil {
 			return Event{}, fmt.Errorf("alert: decode legacy event: %w", err)
 		}
-		return ev, nil
 	case EnvelopeVersion:
 		var env Envelope
 		if err := json.Unmarshal(data, &env); err != nil {
 			return Event{}, fmt.Errorf("alert: decode event envelope: %w", err)
 		}
-		return env.Event(), nil
+		ev = env.Event()
 	default:
 		return Event{}, fmt.Errorf("alert: unsupported event envelope version %d", probe.V)
 	}
+	// The encoder omits empty sensor lists and a zero ClosedAt, so decode
+	// them as the values that encode that way: a decoded event then
+	// re-encodes to bytes that decode to the same event.
+	if len(ev.Sensors) == 0 {
+		ev.Sensors = nil
+	}
+	if inc := ev.Incident; inc != nil {
+		if inc.ClosedAt.IsZero() {
+			inc.ClosedAt = time.Time{}
+		}
+		for i := range inc.Suspects {
+			if len(inc.Suspects[i].Sensors) == 0 {
+				inc.Suspects[i].Sensors = nil
+			}
+		}
+	}
+	return ev, nil
 }

@@ -103,6 +103,8 @@ type Detector struct {
 	// function of the correlation matrix, so the first repair after a
 	// restore rebuilds it exactly.
 	incTSG *tsg.Incremental
+	// lw is the Louvain scratch every round of this detector reuses.
+	lw louvain.Workspace
 
 	round    int // rounds processed so far (warm-up included)
 	havePrev bool
@@ -113,6 +115,11 @@ type Detector struct {
 	ringPos  int
 	rcRounds int    // co-appearance rounds accumulated
 	outlier  []bool // O_{r-1}
+	// advance's scratch, sized once: co[v] receives S_r(v); byPrev and
+	// start group the vertices by previous community; count tallies one
+	// group's current communities and is all-zero between uses.
+	co, byPrev, start, count []int
+	outNow                   []bool
 
 	hist history // μ, σ estimator over n_r (unbounded or trailing horizon)
 
@@ -184,6 +191,11 @@ func NewDetector(n int, cfg Config) (*Detector, error) {
 		builder: tsg.Builder{K: cfg.K, Tau: cfg.Tau},
 		sumS:    make([]float64, n),
 		outlier: make([]bool, n),
+		co:      make([]int, n),
+		byPrev:  make([]int, n),
+		start:   make([]int, n+2),
+		count:   make([]int, n),
+		outNow:  make([]bool, n),
 		hist:    newHistory(cfg.HistoryHorizon),
 	}
 	if cfg.RCMode == RCSliding {
@@ -375,7 +387,7 @@ func (d *Detector) partition(win *mts.MTS) (louvain.Partition, StageTimings, err
 		return louvain.Partition{}, st, err
 	}
 	start = time.Now()
-	part := louvain.Communities(g)
+	part := d.lw.Communities(g)
 	st.Louvain = time.Since(start)
 	return part, st, nil
 }
@@ -440,9 +452,9 @@ func (d *Detector) partitionIncremental(corr tsg.Triangle) (louvain.Partition, S
 		// edge set (a regime tear holds the k-NN sets still for a round
 		// while the boundary weights keep moving), so any round entered
 		// with a non-empty outlier set runs cold too.
-		part = louvain.CommunitiesSeeded(d.incTSG.Graph(), d.prevPart)
+		part = d.lw.CommunitiesSeeded(d.incTSG.Graph(), d.prevPart)
 	} else {
-		part = louvain.Communities(d.incTSG.Graph())
+		part = d.lw.Communities(d.incTSG.Graph())
 	}
 	st.Louvain = time.Since(start)
 	return part, st, nil
@@ -496,13 +508,10 @@ func (d *Detector) advance(part louvain.Partition) RoundReport {
 	// for all v in O(n) by bucketing on the (previous, current) pair.
 	nOut := 0
 	if d.havePrev {
-		pairCount := make(map[[2]int]int, d.n)
+		co := d.coAppearance(part)
+		outNow := d.outNow
 		for v := 0; v < d.n; v++ {
-			pairCount[[2]int{d.prevPart.Of[v], part.Of[v]}]++
-		}
-		outNow := make([]bool, d.n)
-		for v := 0; v < d.n; v++ {
-			s := float64(pairCount[[2]int{d.prevPart.Of[v], part.Of[v]}] - 1)
+			s := float64(co[v])
 			switch d.cfg.RCMode {
 			case RCExponential:
 				if d.rcRounds == 0 {
@@ -523,8 +532,8 @@ func (d *Detector) advance(part louvain.Partition) RoundReport {
 		d.rcRounds++
 		for v := 0; v < d.n; v++ {
 			rc := d.rc(v)
-			if rc < d.cfg.Theta {
-				outNow[v] = true
+			outNow[v] = rc < d.cfg.Theta
+			if outNow[v] {
 				rep.Outliers = append(rep.Outliers, v)
 			}
 			if outNow[v] != d.outlier[v] {
@@ -565,6 +574,43 @@ func (d *Detector) advance(part louvain.Partition) RoundReport {
 	d.havePrev = true
 	d.round++
 	return rep
+}
+
+// coAppearance returns S_r(v) = |C_{r−1}(v) ∩ C_r(v)| − 1 for every v, in
+// scratch valid until the next call. It groups the vertices by previous
+// community and counts each group's current communities, so it runs in
+// O(n) on dense slices sized once for at most n communities.
+func (d *Detector) coAppearance(part louvain.Partition) []int {
+	prev := d.prevPart
+	// Counts land in start[p+2]; the prefix sum turns start[p+1] into p's
+	// first slot of byPrev, and filling advances it to p's end.
+	start := d.start[:prev.Count+2]
+	clear(start)
+	for _, p := range prev.Of {
+		start[p+2]++
+	}
+	for p := 2; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	byPrev := d.byPrev
+	for v, p := range prev.Of {
+		byPrev[start[p+1]] = v
+		start[p+1]++
+	}
+	count, co := d.count, d.co
+	for p := 0; p < prev.Count; p++ {
+		group := byPrev[start[p]:start[p+1]]
+		for _, v := range group {
+			count[part.Of[v]]++
+		}
+		for _, v := range group {
+			co[v] = count[part.Of[v]] - 1
+		}
+		for _, v := range group {
+			count[part.Of[v]] = 0
+		}
+	}
+	return co
 }
 
 // rc returns RC_{v,r} for the current accumulation state.

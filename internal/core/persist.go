@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"cad/internal/louvain"
 )
@@ -80,8 +81,13 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	if len(st.SumS) != st.N || len(st.Outlier) != st.N {
 		return nil, fmt.Errorf("%w: snapshot arrays sized for %d sensors, header says %d", ErrBadConfig, len(st.SumS), st.N)
 	}
-	if st.HavePrev && len(st.PrevOf) != st.N {
-		return nil, fmt.Errorf("%w: snapshot partition sized %d, want %d", ErrBadConfig, len(st.PrevOf), st.N)
+	if st.HavePrev {
+		if len(st.PrevOf) != st.N {
+			return nil, fmt.Errorf("%w: snapshot partition sized %d, want %d", ErrBadConfig, len(st.PrevOf), st.N)
+		}
+		if st.PrevCnt < 1 || st.PrevCnt > st.N || slices.ContainsFunc(st.PrevOf, func(c int) bool { return c < 0 || c >= st.PrevCnt }) {
+			return nil, fmt.Errorf("%w: snapshot partition ids outside [0, %d) or count outside [1, %d]", ErrBadConfig, st.PrevCnt, st.N)
+		}
 	}
 	if st.Config.RCMode == RCSliding {
 		horizon := st.Config.RCHorizon

@@ -324,14 +324,14 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 
 // TestStreamerMemoryGuard bounds everything an exact n=1000 stream allocates
 // from construction through its first two rounds: the packed pair sums
-// (n(n+1)/2 floats, 3.8 MiB), the ring, the TSG and two cold Louvain runs,
-// about 6.3 MiB in all. Any n×n float64 matrix on this path would add
-// another 7.6 MiB.
+// (n(n+1)/2 floats, 4.0 MB), the ring, the TSG and two cold Louvain runs,
+// about 5.0 MB in all. Any n×n float64 matrix on this path would add
+// another 8 MB.
 func TestStreamerMemoryGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1000-sensor stream")
 	}
-	const n, limit = 1000, 7 << 20
+	const n, limit = 1000, 6_000_000
 	cfg := testConfig()
 	det, err := NewDetector(n, cfg)
 	if err != nil {
@@ -360,7 +360,42 @@ func TestStreamerMemoryGuard(t *testing.T) {
 		t.Fatalf("%d rounds completed, want 2", rounds)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-		t.Fatalf("streamer allocated %.1f MiB over two rounds, want < %d MiB", float64(got)/(1<<20), limit>>20)
+		t.Fatalf("streamer allocated %.2f MB over two rounds, want < %.0f MB", float64(got)/1e6, float64(limit)/1e6)
+	}
+}
+
+// TestStreamerRoundAllocs pins what a steady-state exact round costs the
+// heap at n=200: the TSG repair and Louvain run on reused buffers, and the
+// co-appearance advance on dense scratch, so what is left is the round's
+// Partition and report.
+func TestStreamerRoundAllocs(t *testing.T) {
+	const n, rounds = 200, 20
+	cfg := testConfig()
+	cfg.K = 10
+	cfg.Theta = 0.05 // groups of 25: normal RC ≈ 24/199
+	det, err := NewDetector(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := cfg.Window.S
+	series := synth(31, 8, 25, cfg.Window.W+(2*rounds+2)*step, nil, -1, -1)
+	sr := NewStreamer(det)
+	col := make([]float64, n)
+	p := 0
+	round := func() {
+		for i := 0; i < step || p < cfg.Window.W; i++ {
+			series.Column(p, col)
+			p++
+			if _, _, err := sr.Push(col); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < rounds; i++ { // let every reused buffer reach its size
+		round()
+	}
+	if allocs := testing.AllocsPerRun(rounds, round); allocs > 4 {
+		t.Fatalf("steady-state round allocates %v times, want ≤ 4", allocs)
 	}
 }
 

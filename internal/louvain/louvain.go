@@ -7,7 +7,8 @@
 package louvain
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"cad/internal/tsg"
 )
@@ -35,51 +36,98 @@ func (p Partition) Members() [][]int {
 // Same reports whether vertices u and v share a community.
 func (p Partition) Same(u, v int) bool { return p.Of[u] == p.Of[v] }
 
-// weightedGraph is the flattened, aggregated representation the passes
-// operate on.
-type weightedGraph struct {
-	n        int
-	adjIdx   [][]int     // neighbor ids per vertex
-	adjW     [][]float64 // parallel weights (≥ 0)
-	selfLoop []float64   // aggregated self-loop weight per vertex
-	degree   []float64   // weighted degree incl. 2·selfLoop
-	total2m  float64     // 2m = Σ degree
+// Workspace holds the scratch of community detection, so that the runs a
+// stream makes round after round reuse it instead of allocating: a run
+// allocates only the Partition it returns. The zero value is ready to use.
+// A Workspace is not safe for concurrent use.
+type Workspace struct {
+	// base is the graph being partitioned, read in place; agg holds the
+	// levels aggregate builds, which alternate between the two.
+	base level
+	agg  [2]level
+
+	comm       []int     // onePass: community of each vertex
+	commDegree []float64 // onePass: Σ degree of each community's members
+	// neighW[c] accumulates the weight from one vertex (onePass) or one
+	// community (aggregate) to community c. touched lists the c with
+	// mark[c] set; both are reset after each use, so they stay all-zero
+	// between uses.
+	neighW  []float64
+	mark    []bool
+	touched []int
+
+	remap      []int // canon: new id of each old id, −1 when unseen
+	node2final []int // cold: level vertex of each original vertex
+	seed       []int // CommunitiesSeeded: the seed as onePass takes it
+	members    []int // aggregate: vertices grouped by community
+	start      []int // aggregate: members[start[c]:start[c+1]] is c
 }
 
-func fromTSG(g *tsg.Graph) *weightedGraph {
-	n := g.N()
-	wg := &weightedGraph{
-		n:        n,
-		adjIdx:   make([][]int, n),
-		adjW:     make([][]float64, n),
-		selfLoop: make([]float64, n),
-		degree:   make([]float64, n),
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.NeighborsSorted(u) {
-			w, _ := g.Weight(u, v)
-			if w < 0 {
-				w = -w // correlation strength
-			}
-			if w == 0 {
-				continue
-			}
-			wg.adjIdx[u] = append(wg.adjIdx[u], v)
-			wg.adjW[u] = append(wg.adjW[u], w)
-			wg.degree[u] += w
+// level is one level of the multi-level optimization, stored flat: vertex
+// v's neighbors are nbr[off[v]:off[v+1]] in ascending id order. An edge's
+// strength is |w|, and edges of strength zero do not count; the first
+// level is the TSG's own arrays, signed, and aggregated levels hold only
+// positive strengths.
+type level struct {
+	n        int
+	off      []int
+	nbr      []int
+	w        []float64
+	selfLoop []float64 // aggregated self-loop weight per vertex
+	degree   []float64 // weighted degree incl. 2·selfLoop
+	total2m  float64   // 2m = Σ degree
+}
+
+// reset empties lv for n vertices; the rows are the caller's to set.
+func (lv *level) reset(n int) {
+	lv.n = n
+	lv.selfLoop = resize(lv.selfLoop, n)
+	clear(lv.selfLoop)
+	lv.degree = resize(lv.degree, n)
+	clear(lv.degree)
+	lv.total2m = 0
+}
+
+func (lv *level) adj(v int) ([]int, []float64) {
+	lo, hi := lv.off[v], lv.off[v+1]
+	return lv.nbr[lo:hi], lv.w[lo:hi]
+}
+
+// load makes g the base level, reading its rows in place.
+func (ws *Workspace) load(g *tsg.Graph) *level {
+	lv := &ws.base
+	lv.reset(g.N())
+	lv.off, lv.nbr, lv.w = g.CSR()
+	for u := 0; u < lv.n; u++ {
+		_, wts := lv.adj(u)
+		for _, w := range wts {
+			lv.degree[u] += math.Abs(w) // correlation strength
 		}
 	}
-	for _, d := range wg.degree {
-		wg.total2m += d
+	for _, d := range lv.degree {
+		lv.total2m += d
 	}
-	return wg
+	return lv
 }
 
 // Communities partitions the TSG into communities by modularity
 // optimization. Edgeless graphs (or all-zero weights) yield singleton
-// communities.
+// communities. It runs on a fresh Workspace; see Workspace.Communities.
 func Communities(g *tsg.Graph) Partition {
-	return communities(g)
+	return new(Workspace).Communities(g)
+}
+
+// Communities is the package-level Communities run on ws's scratch.
+func (ws *Workspace) Communities(g *tsg.Graph) Partition {
+	n := g.N()
+	if n == 0 {
+		return Partition{Of: nil, Count: 0}
+	}
+	lv := ws.load(g)
+	if lv.total2m == 0 {
+		return singletons(n)
+	}
+	return ws.cold(lv)
 }
 
 // CommunitiesSeeded warm-starts community detection from a previous
@@ -100,70 +148,73 @@ func Communities(g *tsg.Graph) Partition {
 // vertex-level stable (no moves, seed returned as-is) or it is not (moves
 // happen, cold rerun returns it).
 //
-// A seed of the wrong size (or empty) falls back to a cold start.
+// A seed of the wrong size, an empty one, or one with an id outside [0, n)
+// falls back to a cold start. It runs on a fresh Workspace; see
+// Workspace.CommunitiesSeeded.
 func CommunitiesSeeded(g *tsg.Graph, seed Partition) Partition {
+	return new(Workspace).CommunitiesSeeded(g, seed)
+}
+
+// CommunitiesSeeded is the package-level CommunitiesSeeded run on ws's
+// scratch.
+func (ws *Workspace) CommunitiesSeeded(g *tsg.Graph, seed Partition) Partition {
 	n := g.N()
-	if len(seed.Of) != n || seed.Count <= 0 || n == 0 {
-		return communities(g)
+	if len(seed.Of) != n || seed.Count <= 0 || n == 0 || slices.ContainsFunc(seed.Of, func(c int) bool { return c < 0 || c >= n }) {
+		return ws.Communities(g)
 	}
-	wg := fromTSG(g)
-	if wg.total2m == 0 {
+	lv := ws.load(g)
+	if lv.total2m == 0 {
 		return singletons(n)
 	}
-	seedOf := make([]int, n)
-	next := seed.Count
+	seedOf := resize(ws.seed, n)
+	ws.seed = seedOf
+	next := n // above every seed id
 	for v := 0; v < n; v++ {
-		if wg.degree[v] == 0 {
+		if lv.degree[v] == 0 {
 			seedOf[v] = next // isolated: force a fresh singleton community
 			next++
 		} else {
 			seedOf[v] = seed.Of[v]
 		}
 	}
-	// Recompact ids into [0, n) — the split above can push them past n.
-	seedOf = canonicalize(seedOf).Of
-	comm, moved := onePass(wg, seedOf)
+	// Recompact ids into [0, n) — the split above pushes them past n.
+	ws.canon(seedOf, seedOf)
+	comm, count, moved := ws.onePass(lv, seedOf)
 	if !moved {
-		return canonicalize(comm)
+		return Partition{Of: slices.Clone(comm), Count: count}
 	}
-	return communities(g)
+	return ws.cold(lv)
 }
 
-func communities(g *tsg.Graph) Partition {
-	n := g.N()
-	if n == 0 {
-		return Partition{Of: nil, Count: 0}
-	}
-	wg := fromTSG(g)
-	if wg.total2m == 0 {
-		return singletons(n)
-	}
-
+// cold runs the full multi-level optimization on the loaded graph lv,
+// which has at least one vertex and positive total weight.
+func (ws *Workspace) cold(lv *level) Partition {
+	n := lv.n
 	// node2final[v] tracks which aggregated node each original vertex
 	// currently maps to.
-	node2final := make([]int, n)
+	node2final := resize(ws.node2final, n)
+	ws.node2final = node2final
 	for i := range node2final {
 		node2final[i] = i
 	}
 
 	for {
-		comm, moved := onePass(wg, nil)
+		comm, count, moved := ws.onePass(lv, nil)
 		if !moved {
 			// Map aggregated communities back to original vertices.
 			of := make([]int, n)
 			for v := range of {
 				of[v] = comm[node2final[v]]
 			}
-			return canonicalize(of)
+			return Partition{Of: of, Count: ws.canon(of, of)}
 		}
 		// Aggregate graph by communities and recurse.
-		wg = aggregate(wg, comm)
+		lv = ws.aggregate(lv, comm, count)
 		for v := range node2final {
 			node2final[v] = comm[node2final[v]]
 		}
-		if wg.n == 1 {
-			of := make([]int, n)
-			return canonicalize(of)
+		if lv.n == 1 {
+			return Partition{Of: make([]int, n), Count: 1}
 		}
 	}
 }
@@ -177,26 +228,29 @@ func singletons(n int) Partition {
 }
 
 // onePass runs local moving until no vertex improves modularity, returning
-// the compacted community assignment of the aggregated graph and whether any
-// move happened at all. A non-nil seedOf (length n, ids in [0,n)) replaces
-// the singleton starting assignment.
-func onePass(wg *weightedGraph, seedOf []int) (comm []int, movedAny bool) {
-	n := wg.n
-	comm = make([]int, n)
-	commDegree := make([]float64, n) // Σ degree of members
+// the compacted, canonical community assignment of lv, the community count,
+// and whether any move happened at all. A non-nil seedOf (length n, ids in
+// [0,n)) replaces the singleton starting assignment. comm is ws's scratch,
+// valid until the next onePass.
+func (ws *Workspace) onePass(lv *level, seedOf []int) (comm []int, count int, movedAny bool) {
+	n := lv.n
+	comm = resize(ws.comm, n)
+	commDegree := resize(ws.commDegree, n)
+	clear(commDegree)
+	ws.comm, ws.commDegree = comm, commDegree
 	if seedOf != nil {
 		for i := 0; i < n; i++ {
 			comm[i] = seedOf[i]
-			commDegree[seedOf[i]] += wg.degree[i]
+			commDegree[seedOf[i]] += lv.degree[i]
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			comm[i] = i
-			commDegree[i] = wg.degree[i]
+			commDegree[i] = lv.degree[i]
 		}
 	}
-	twoM := wg.total2m
-	neighW := make(map[int]float64, 16)
+	twoM := lv.total2m
+	neighW, mark := ws.scratch(n)
 
 	improved := true
 	for improved {
@@ -204,28 +258,29 @@ func onePass(wg *weightedGraph, seedOf []int) (comm []int, movedAny bool) {
 		for v := 0; v < n; v++ {
 			cv := comm[v]
 			// Weight from v to each neighboring community.
-			for k := range neighW {
-				delete(neighW, k)
-			}
-			for idx, u := range wg.adjIdx[v] {
-				if u == v {
+			touched := ws.touched[:0]
+			ids, wts := lv.adj(v)
+			for i, u := range ids {
+				w := math.Abs(wts[i])
+				if u == v || w == 0 {
 					continue
 				}
-				neighW[comm[u]] += wg.adjW[v][idx]
+				c := comm[u]
+				if !mark[c] {
+					mark[c] = true
+					touched = append(touched, c)
+				}
+				neighW[c] += w
 			}
 			// Remove v from its community.
-			commDegree[cv] -= wg.degree[v]
+			commDegree[cv] -= lv.degree[v]
 			// Gain of joining community c:
 			//   ΔQ ∝ w(v→c) − degree(v)·Σdeg(c)/2m
-			best, bestGain := cv, neighW[cv]-wg.degree[v]*commDegree[cv]/twoM
+			best, bestGain := cv, neighW[cv]-lv.degree[v]*commDegree[cv]/twoM
 			// Deterministic order over candidate communities.
-			cands := make([]int, 0, len(neighW))
-			for c := range neighW {
-				cands = append(cands, c)
-			}
-			sort.Ints(cands)
-			for _, c := range cands {
-				gain := neighW[c] - wg.degree[v]*commDegree[c]/twoM
+			slices.Sort(touched)
+			for _, c := range touched {
+				gain := neighW[c] - lv.degree[v]*commDegree[c]/twoM
 				if gain > bestGain+1e-12 {
 					best, bestGain = c, gain
 				} else if gain > bestGain-1e-12 && c < best {
@@ -233,7 +288,11 @@ func onePass(wg *weightedGraph, seedOf []int) (comm []int, movedAny bool) {
 					best, bestGain = c, gain
 				}
 			}
-			commDegree[best] += wg.degree[v]
+			for _, c := range touched {
+				neighW[c], mark[c] = 0, false
+			}
+			ws.touched = touched
+			commDegree[best] += lv.degree[v]
 			if best != cv {
 				comm[v] = best
 				improved = true
@@ -241,64 +300,80 @@ func onePass(wg *weightedGraph, seedOf []int) (comm []int, movedAny bool) {
 			}
 		}
 	}
-	// Compact ids.
-	remap := make(map[int]int, n)
-	next := 0
-	for v := 0; v < n; v++ {
-		if _, ok := remap[comm[v]]; !ok {
-			remap[comm[v]] = next
-			next++
-		}
-		comm[v] = remap[comm[v]]
-	}
-	return comm, movedAny
+	return comm, ws.canon(comm, comm), movedAny
 }
 
-// aggregate collapses each community into a single node.
-func aggregate(wg *weightedGraph, comm []int) *weightedGraph {
-	nc := 0
+// scratch returns neighW and mark sized for n ids. They are all-zero:
+// fresh arrays are, and every use resets what it set.
+func (ws *Workspace) scratch(n int) ([]float64, []bool) {
+	ws.neighW = resize(ws.neighW, n)
+	ws.mark = resize(ws.mark, n)
+	return ws.neighW, ws.mark
+}
+
+// aggregate collapses each of the nc communities of lv into a single node
+// of the next level, built in whichever agg buffer lv is not.
+func (ws *Workspace) aggregate(lv *level, comm []int, nc int) *level {
+	out := &ws.agg[0]
+	if lv == out {
+		out = &ws.agg[1]
+	}
+	out.reset(nc)
+	out.off = resize(out.off, nc+1)
+	out.off[0] = 0
+	out.nbr, out.w = out.nbr[:0], out.w[:0]
+	// Group the vertices by community, ascending within each: counts land
+	// in start[c+2], the prefix sum turns start[c+1] into c's start, and
+	// filling advances it to c's end.
+	start := resize(ws.start, nc+2)
+	clear(start)
 	for _, c := range comm {
-		if c+1 > nc {
-			nc = c + 1
-		}
+		start[c+2]++
 	}
-	out := &weightedGraph{
-		n:        nc,
-		adjIdx:   make([][]int, nc),
-		adjW:     make([][]float64, nc),
-		selfLoop: make([]float64, nc),
-		degree:   make([]float64, nc),
+	for c := 2; c < nc+2; c++ {
+		start[c] += start[c-1]
 	}
-	edges := make([]map[int]float64, nc)
-	for i := range edges {
-		edges[i] = make(map[int]float64)
+	members := resize(ws.members, lv.n)
+	for v, c := range comm {
+		members[start[c+1]] = v
+		start[c+1]++
 	}
-	for v := 0; v < wg.n; v++ {
-		cv := comm[v]
-		out.selfLoop[cv] += wg.selfLoop[v]
-		for idx, u := range wg.adjIdx[v] {
-			cu := comm[u]
-			w := wg.adjW[v][idx]
-			if cu == cv {
-				// Each intra-community edge is visited from both
-				// endpoints; halve to count once.
-				out.selfLoop[cv] += w / 2
-			} else {
-				edges[cv][cu] += w
+	ws.start, ws.members = start, members
+
+	edgeW, mark := ws.scratch(nc)
+	for c := 0; c < nc; c++ {
+		touched := ws.touched[:0]
+		for _, v := range members[start[c]:start[c+1]] {
+			out.selfLoop[c] += lv.selfLoop[v]
+			ids, wts := lv.adj(v)
+			for i, u := range ids {
+				w := math.Abs(wts[i])
+				if w == 0 {
+					continue
+				}
+				cu := comm[u]
+				if cu == c {
+					// Each intra-community edge is visited from both
+					// endpoints; halve to count once.
+					out.selfLoop[c] += w / 2
+					continue
+				}
+				if !mark[cu] {
+					mark[cu] = true
+					touched = append(touched, cu)
+				}
+				edgeW[cu] += w
 			}
 		}
-	}
-	for c := 0; c < nc; c++ {
-		ids := make([]int, 0, len(edges[c]))
-		for u := range edges[c] {
-			ids = append(ids, u)
+		slices.Sort(touched)
+		for _, cu := range touched {
+			out.nbr = append(out.nbr, cu)
+			out.w = append(out.w, edgeW[cu])
+			out.degree[c] += edgeW[cu]
+			edgeW[cu], mark[cu] = 0, false
 		}
-		sort.Ints(ids)
-		for _, u := range ids {
-			out.adjIdx[c] = append(out.adjIdx[c], u)
-			out.adjW[c] = append(out.adjW[c], edges[c][u])
-			out.degree[c] += edges[c][u]
-		}
+		ws.touched = touched
+		out.off[c+1] = len(out.nbr)
 		out.degree[c] += 2 * out.selfLoop[c]
 	}
 	for _, d := range out.degree {
@@ -307,47 +382,63 @@ func aggregate(wg *weightedGraph, comm []int) *weightedGraph {
 	return out
 }
 
-// canonicalize renumbers communities so ids increase with the lowest member
-// vertex, making partitions comparable across runs.
-func canonicalize(of []int) Partition {
-	remap := make(map[int]int)
+// canon renumbers the non-negative community ids of src into dst, which may
+// be src, so that ids increase with the lowest member vertex, making
+// partitions comparable across runs. It returns the community count.
+func (ws *Workspace) canon(dst, src []int) int {
+	top := 0
+	for _, c := range src {
+		top = max(top, c+1)
+	}
+	remap := resize(ws.remap, top)
+	ws.remap = remap
+	for i := range remap {
+		remap[i] = -1
+	}
 	next := 0
-	out := make([]int, len(of))
-	for v, c := range of {
-		id, ok := remap[c]
-		if !ok {
-			id = next
-			remap[c] = id
+	for v, c := range src {
+		if remap[c] < 0 {
+			remap[c] = next
 			next++
 		}
-		out[v] = id
+		dst[v] = remap[c]
 	}
-	return Partition{Of: out, Count: next}
+	return next
 }
 
 // Modularity computes Newman's modularity Q of the partition on g, using
 // absolute edge weights. Useful for testing and ablation.
 func Modularity(g *tsg.Graph, p Partition) float64 {
-	wg := fromTSG(g)
-	if wg.total2m == 0 {
+	lv := new(Workspace).load(g)
+	if lv.total2m == 0 {
 		return 0
 	}
 	var q float64
 	commDeg := make([]float64, p.Count)
-	for v := 0; v < wg.n; v++ {
-		commDeg[p.Of[v]] += wg.degree[v]
+	for v := 0; v < lv.n; v++ {
+		commDeg[p.Of[v]] += lv.degree[v]
 	}
 	var intra float64
-	for v := 0; v < wg.n; v++ {
-		for idx, u := range wg.adjIdx[v] {
+	for v := 0; v < lv.n; v++ {
+		ids, wts := lv.adj(v)
+		for i, u := range ids {
 			if p.Of[u] == p.Of[v] {
-				intra += wg.adjW[v][idx]
+				intra += math.Abs(wts[i])
 			}
 		}
 	}
-	q = intra / wg.total2m
+	q = intra / lv.total2m
 	for _, d := range commDeg {
-		q -= (d / wg.total2m) * (d / wg.total2m)
+		q -= (d / lv.total2m) * (d / lv.total2m)
 	}
 	return q
+}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough and allocating exactly n otherwise. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -8,24 +8,62 @@ import (
 	"cad/internal/tsg"
 )
 
-// twoCliques builds two dense cliques of the given sizes joined by one weak
+// edgeSet is a mutable undirected test graph; graph freezes it into a TSG.
+type edgeSet map[[2]int]float64
+
+func pair(u, v int) [2]int { return [2]int{min(u, v), max(u, v)} }
+
+func (s edgeSet) set(u, v int, w float64) { s[pair(u, v)] = w }
+func (s edgeSet) del(u, v int)            { delete(s, pair(u, v)) }
+func (s edgeSet) has(u, v int) bool {
+	_, ok := s[pair(u, v)]
+	return ok
+}
+
+func (s edgeSet) graph(n int) *tsg.Graph {
+	edges := make([]tsg.Edge, 0, len(s))
+	for p, w := range s {
+		edges = append(edges, tsg.Edge{U: p[0], V: p[1], W: w})
+	}
+	return tsg.FromEdges(n, edges)
+}
+
+// twoCliqueEdges is two dense cliques of the given sizes joined by one weak
 // bridge edge.
-func twoCliques(a, b int, bridge float64) *tsg.Graph {
-	g := tsg.NewGraph(a + b)
+func twoCliqueEdges(a, b int, bridge float64) edgeSet {
+	s := edgeSet{}
 	for i := 0; i < a; i++ {
 		for j := i + 1; j < a; j++ {
-			g.SetEdge(i, j, 1)
+			s.set(i, j, 1)
 		}
 	}
 	for i := a; i < a+b; i++ {
 		for j := i + 1; j < a+b; j++ {
-			g.SetEdge(i, j, 1)
+			s.set(i, j, 1)
 		}
 	}
 	if bridge > 0 {
-		g.SetEdge(0, a, bridge)
+		s.set(0, a, bridge)
 	}
-	return g
+	return s
+}
+
+func twoCliques(a, b int, bridge float64) *tsg.Graph {
+	return twoCliqueEdges(a, b, bridge).graph(a + b)
+}
+
+// randomEdges draws each pair of n vertices as an edge with probability p,
+// weighted by weight.
+func randomEdges(rng *rand.Rand, n int, p float64, weight func() float64) edgeSet {
+	s := edgeSet{}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				s.set(i, j, weight())
+			}
+		}
+	}
+	return s
 }
 
 func TestTwoCliques(t *testing.T) {
@@ -50,18 +88,18 @@ func TestTwoCliques(t *testing.T) {
 }
 
 func TestThreeCliques(t *testing.T) {
-	g := tsg.NewGraph(12)
+	s := edgeSet{}
 	for c := 0; c < 3; c++ {
 		base := c * 4
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
-				g.SetEdge(base+i, base+j, 0.9)
+				s.set(base+i, base+j, 0.9)
 			}
 		}
 	}
-	g.SetEdge(0, 4, 0.1)
-	g.SetEdge(4, 8, 0.1)
-	p := Communities(g)
+	s.set(0, 4, 0.1)
+	s.set(4, 8, 0.1)
+	p := Communities(s.graph(12))
 	if p.Count != 3 {
 		t.Fatalf("Count = %d, want 3 (%v)", p.Count, p.Of)
 	}
@@ -75,8 +113,7 @@ func TestThreeCliques(t *testing.T) {
 }
 
 func TestEdgelessGraph(t *testing.T) {
-	g := tsg.NewGraph(4)
-	p := Communities(g)
+	p := Communities(tsg.FromEdges(4, nil))
 	if p.Count != 4 {
 		t.Fatalf("edgeless graph: Count = %d, want 4 singletons", p.Count)
 	}
@@ -88,16 +125,14 @@ func TestEdgelessGraph(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	p := Communities(tsg.NewGraph(0))
+	p := Communities(tsg.FromEdges(0, nil))
 	if p.Count != 0 || len(p.Of) != 0 {
 		t.Errorf("empty graph: %+v", p)
 	}
 }
 
 func TestSingleEdge(t *testing.T) {
-	g := tsg.NewGraph(2)
-	g.SetEdge(0, 1, 0.8)
-	p := Communities(g)
+	p := Communities(tsg.FromEdges(2, []tsg.Edge{{U: 0, V: 1, W: 0.8}}))
 	if p.Count != 1 || !p.Same(0, 1) {
 		t.Errorf("single edge should merge: %+v", p)
 	}
@@ -105,11 +140,11 @@ func TestSingleEdge(t *testing.T) {
 
 func TestNegativeWeightsUseStrength(t *testing.T) {
 	// Strong negative correlations are strong relationships.
-	g := tsg.NewGraph(4)
-	g.SetEdge(0, 1, -0.95)
-	g.SetEdge(2, 3, -0.95)
-	g.SetEdge(1, 2, 0.05)
-	p := Communities(g)
+	p := Communities(tsg.FromEdges(4, []tsg.Edge{
+		{U: 0, V: 1, W: -0.95},
+		{U: 2, V: 3, W: -0.95},
+		{U: 1, V: 2, W: 0.05},
+	}))
 	if !p.Same(0, 1) || !p.Same(2, 3) {
 		t.Errorf("negatively-correlated pairs should cluster: %v", p.Of)
 	}
@@ -120,14 +155,7 @@ func TestNegativeWeightsUseStrength(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := tsg.NewGraph(30)
-	for i := 0; i < 30; i++ {
-		for j := i + 1; j < 30; j++ {
-			if rng.Float64() < 0.2 {
-				g.SetEdge(i, j, rng.Float64())
-			}
-		}
-	}
+	g := randomEdges(rng, 30, 0.2, rng.Float64).graph(30)
 	p1 := Communities(g)
 	for trial := 0; trial < 5; trial++ {
 		p2 := Communities(g)
@@ -161,14 +189,7 @@ func TestPartitionProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
-		g := tsg.NewGraph(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.3 {
-					g.SetEdge(i, j, rng.Float64()*2-1)
-				}
-			}
-		}
+		g := randomEdges(rng, n, 0.3, func() float64 { return rng.Float64()*2 - 1 }).graph(n)
 		p := Communities(g)
 		if len(p.Of) != n || p.Count < 1 && n > 0 {
 			return false
@@ -215,29 +236,35 @@ func TestModularity(t *testing.T) {
 	if q := Modularity(g, all); q > 1e-9 {
 		t.Errorf("single-community modularity = %v, want 0", q)
 	}
-	if q := Modularity(tsg.NewGraph(3), singletons(3)); q != 0 {
+	if q := Modularity(tsg.FromEdges(3, nil), singletons(3)); q != 0 {
 		t.Errorf("edgeless modularity = %v, want 0", q)
 	}
 }
 
 func BenchmarkCommunities200(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	g := tsg.NewGraph(200)
-	// Planted partition: 10 groups of 20.
+	g := plantedGraph(rng)
+	var ws Workspace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Communities(g)
+	}
+}
+
+// plantedGraph is a planted partition: 10 groups of 20 vertices, dense
+// inside a group and sparse across.
+func plantedGraph(rng *rand.Rand) *tsg.Graph {
+	s := edgeSet{}
 	for i := 0; i < 200; i++ {
 		for j := i + 1; j < 200; j++ {
-			same := i/20 == j/20
 			p := 0.02
-			if same {
+			if i/20 == j/20 {
 				p = 0.5
 			}
 			if rng.Float64() < p {
-				g.SetEdge(i, j, 0.5+0.5*rng.Float64())
+				s.set(i, j, 0.5+0.5*rng.Float64())
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Communities(g)
-	}
+	return s.graph(200)
 }

@@ -10,16 +10,8 @@ import (
 
 // randomGraph builds a random weighted graph over n vertices with the given
 // edge probability.
-func randomGraph(rng *rand.Rand, n int, p float64) *tsg.Graph {
-	g := tsg.NewGraph(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				g.SetEdge(i, j, 0.2+0.8*rng.Float64())
-			}
-		}
-	}
-	return g
+func randomGraph(rng *rand.Rand, n int, p float64) edgeSet {
+	return randomEdges(rng, n, p, func() float64 { return 0.2 + 0.8*rng.Float64() })
 }
 
 // TestSeededUnchangedGraphEqualsCold is the warm-start contract: seeding
@@ -34,7 +26,7 @@ func TestSeededUnchangedGraphEqualsCold(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
-		graphs["random"+string(rune('0'+i))] = randomGraph(rng, 24, 0.2)
+		graphs["random"+string(rune('0'+i))] = randomGraph(rng, 24, 0.2).graph(24)
 	}
 	for name, g := range graphs {
 		cold := Communities(g)
@@ -57,11 +49,12 @@ func TestSeededPerturbedGraphConverges(t *testing.T) {
 
 	// Perturbation 1: merge the cliques with a heavy bridge — the seed is
 	// no longer optimal, so moves happen and the cold path takes over.
-	merged := twoCliques(5, 5, 0)
+	bridged := twoCliqueEdges(5, 5, 0)
 	for i := 0; i < 5; i++ {
-		merged.SetEdge(i, 5+i, 1)
-		merged.SetEdge(i, 5+(i+1)%5, 1)
+		bridged.set(i, 5+i, 1)
+		bridged.set(i, 5+(i+1)%5, 1)
 	}
+	merged := bridged.graph(10)
 	warm := CommunitiesSeeded(merged, seed)
 	cold := Communities(merged)
 	if !reflect.DeepEqual(cold, warm) {
@@ -72,10 +65,11 @@ func TestSeededPerturbedGraphConverges(t *testing.T) {
 	// leave it grouped with its old clique — an isolated vertex generates
 	// no modularity gain to move anywhere, so without the explicit split
 	// it would silently keep its stale membership.
-	isolated := twoCliques(5, 5, 0)
+	cut := twoCliqueEdges(5, 5, 0)
 	for v := 1; v < 5; v++ {
-		isolated.RemoveEdge(0, v)
+		cut.del(0, v)
 	}
+	isolated := cut.graph(10)
 	warm = CommunitiesSeeded(isolated, seed)
 	for v := 1; v < 10; v++ {
 		if warm.Same(0, v) {
@@ -96,21 +90,21 @@ func TestSeededPerturbedGraphConverges(t *testing.T) {
 func TestSeededRandomPerturbations(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 30; iter++ {
-		g := randomGraph(rng, 20, 0.25)
-		seed := Communities(g)
+		es := randomGraph(rng, 20, 0.25)
+		seed := Communities(es.graph(20))
 		// Flip a few edges.
 		for f := 0; f < 4; f++ {
 			u, v := rng.Intn(20), rng.Intn(20)
 			if u == v {
 				continue
 			}
-			if g.HasEdge(u, v) {
-				g.RemoveEdge(u, v)
+			if es.has(u, v) {
+				es.del(u, v)
 			} else {
-				g.SetEdge(u, v, 0.2+0.8*rng.Float64())
+				es.set(u, v, 0.2+0.8*rng.Float64())
 			}
 		}
-		warm := CommunitiesSeeded(g, seed)
+		warm := CommunitiesSeeded(es.graph(20), seed)
 		if len(warm.Of) != 20 || warm.Count < 1 || warm.Count > 20 {
 			t.Fatalf("iter %d: invalid partition %v", iter, warm)
 		}
@@ -122,8 +116,8 @@ func TestSeededRandomPerturbations(t *testing.T) {
 	}
 }
 
-// TestSeededInvalidSeedFallsBack: wrong-size or empty seeds must not panic
-// and must give the cold result.
+// TestSeededInvalidSeedFallsBack: wrong-size or empty seeds, and seeds with
+// ids outside [0, n), must not panic and must give the cold result.
 func TestSeededInvalidSeedFallsBack(t *testing.T) {
 	g := twoCliques(4, 4, 0.2)
 	cold := Communities(g)
@@ -131,6 +125,8 @@ func TestSeededInvalidSeedFallsBack(t *testing.T) {
 		{},
 		{Of: []int{0, 1}, Count: 2},
 		{Of: make([]int, 8), Count: 0},
+		{Of: []int{0, 0, 0, 0, 1, 1, 1, 8}, Count: 2},
+		{Of: []int{0, 0, 0, 0, 1, 1, 1, -1}, Count: 2},
 	} {
 		warm := CommunitiesSeeded(g, seed)
 		if !reflect.DeepEqual(cold, warm) {

@@ -87,7 +87,7 @@ func (b Builder) BuildApprox(window *mts.MTS, ac ApproxConfig) (*Graph, error) {
 		ids[i] = ix.Add(unit[i])
 	}
 	if ix.Len() == 0 {
-		return NewGraph(n), nil
+		return FromEdges(n, nil), nil
 	}
 	// Map index ids back to sensor ids.
 	back := make([]int, ix.Len())
@@ -96,7 +96,7 @@ func (b Builder) BuildApprox(window *mts.MTS, ac ApproxConfig) (*Graph, error) {
 			back[id] = sensor
 		}
 	}
-	g := NewGraph(n)
+	var edges []Edge
 	for sensor := 0; sensor < n; sensor++ {
 		if ids[sensor] < 0 {
 			continue
@@ -128,12 +128,12 @@ func (b Builder) BuildApprox(window *mts.MTS, ac ApproxConfig) (*Graph, error) {
 			} else if dot < -1 {
 				dot = -1
 			}
-			g.SetEdge(sensor, other, dot)
+			edges = append(edges, Edge{sensor, other, dot})
 			added++
 			if added == b.K {
 				break
 			}
 		}
 	}
-	return g, nil
+	return FromEdges(n, edges), nil
 }

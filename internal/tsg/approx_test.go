@@ -48,14 +48,15 @@ func TestBuildApproxMatchesExactStructure(t *testing.T) {
 	// exact strong edges.
 	total, shared := 0, 0
 	for u := 0; u < exact.N(); u++ {
-		exact.Neighbors(u, func(v int, w float64) {
+		ids, _ := exact.Adj(u)
+		for _, v := range ids {
 			if u < v {
 				total++
 				if approx.HasEdge(u, v) {
 					shared++
 				}
 			}
-		})
+		}
 	}
 	if total == 0 {
 		t.Fatal("exact graph has no edges")
@@ -65,14 +66,15 @@ func TestBuildApproxMatchesExactStructure(t *testing.T) {
 	}
 	// No cross-group edges (independent latents correlate weakly).
 	for u := 0; u < approx.N(); u++ {
-		approx.Neighbors(u, func(v int, w float64) {
+		ids, ws := approx.Adj(u)
+		for i, v := range ids {
 			if u/8 != v/8 {
-				t.Errorf("approx cross-group edge (%d,%d) w=%v", u, v, w)
+				t.Errorf("approx cross-group edge (%d,%d) w=%v", u, v, ws[i])
 			}
-			if math.Abs(w) < 0.5 {
-				t.Errorf("edge below τ: (%d,%d) %v", u, v, w)
+			if math.Abs(ws[i]) < 0.5 {
+				t.Errorf("edge below τ: (%d,%d) %v", u, v, ws[i])
 			}
-		})
+		}
 	}
 }
 

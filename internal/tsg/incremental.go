@@ -1,9 +1,6 @@
 package tsg
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Triangle is a symmetric correlation matrix read through its strict upper
 // triangle, so the diagonal is never read. UpperRow(i) returns r(i, j) for
@@ -44,10 +41,10 @@ func rankBefore(aw float64, av int, bw float64, bv int) bool {
 }
 
 // Incremental maintains a TSG across a sliding sequence of correlation
-// matrices, repairing the edges that changed instead of rebuilding the graph
-// (and its adjacency maps) from scratch every round. It is also the one
-// selection routine of the package: Builder.FromCorrelation runs a single
-// Repair on a fresh Incremental.
+// matrices, reusing its selection and adjacency buffers instead of
+// allocating a graph every round. It is also the one selection routine of
+// the package: Builder.FromCorrelation runs a single Repair on a fresh
+// Incremental.
 //
 // The maintained invariant is exact: after every Repair the graph equals
 // Builder.FromCorrelation(corr) edge for edge and weight for weight.
@@ -56,7 +53,12 @@ func rankBefore(aw float64, av int, bw float64, bv int) bool {
 type Incremental struct {
 	b Builder
 	n int
-	g *Graph
+	// g is the maintained graph. Each Repair links the new rows into the
+	// spare offset and id arrays, diffing them against g's, and keeps g's
+	// as the next spare; the weights are rewritten in place.
+	g                  *Graph
+	spareOff, spareNbr []int
+	rev                reverse
 
 	// sel[u] is u's committed top-K selection sorted by neighbor id
 	// (weights included, pre-τ-pruning). next[u] is the selection the
@@ -84,12 +86,13 @@ func NewIncremental(b Builder, n int) (*Incremental, error) {
 func newIncremental(b Builder, n int) *Incremental {
 	k := b.K
 	inc := &Incremental{
-		b:     b,
-		n:     n,
-		g:     NewGraph(n),
-		sel:   make([][]edge, n),
-		next:  make([][]edge, n),
-		floor: make([]float64, n),
+		b:        b,
+		n:        n,
+		g:        &Graph{off: make([]int, n+1)},
+		spareOff: make([]int, n+1),
+		sel:      make([][]edge, n),
+		next:     make([][]edge, n),
+		floor:    make([]float64, n),
 	}
 	selBuf, nextBuf := make([]edge, n*k), make([]edge, n*k)
 	for u := 0; u < n; u++ {
@@ -99,8 +102,8 @@ func newIncremental(b Builder, n int) *Incremental {
 	return inc
 }
 
-// Graph returns the maintained graph. It is mutated in place by Repair;
-// callers must not modify it.
+// Graph returns the maintained graph. Repair rebuilds it in place; callers
+// must not modify it.
 func (inc *Incremental) Graph() *Graph { return inc.g }
 
 // Repair brings the maintained graph to Builder.FromCorrelation of the
@@ -111,8 +114,9 @@ func (inc *Incremental) Graph() *Graph { return inc.g }
 //
 // One pass over the triangle offers each pair's correlation to both
 // endpoints' bounded K-slot candidate sets; most offers fail the single
-// comparison against the set's floor. Each set is then sorted by id and
-// diffed against the previous round's.
+// comparison against the set's floor. Each set is then sorted by id, and
+// the graph's rows are rebuilt as the merge of those sets with the reverse
+// selections, counting the change against the previous rows on the way.
 func (inc *Incremental) Repair(corr Triangle) (structural int) {
 	n := inc.n
 	for u := 0; u < n; u++ {
@@ -136,33 +140,10 @@ func (inc *Incremental) Repair(corr Triangle) (structural int) {
 	for u := 0; u < n; u++ {
 		sortByID(inc.next[u])
 	}
-
-	// Apply the edge diff. An undirected edge (u,v) exists iff at least one
-	// endpoint selects the other with |w| ≥ τ, so removal needs both
-	// endpoints' new selections while insertion needs only one.
-	tau := inc.b.Tau
-	for u := 0; u < n; u++ {
-		for _, e := range inc.sel[u] {
-			if math.Abs(e.w) < tau {
-				continue
-			}
-			if !wants(inc.next[u], e.v, tau) && !wants(inc.next[e.v], u, tau) {
-				if inc.g.HasEdge(u, e.v) {
-					structural++
-				}
-				inc.g.RemoveEdge(u, e.v)
-			}
-		}
-		for _, e := range inc.next[u] {
-			if math.Abs(e.w) < tau || e.v < u && wants(inc.next[e.v], u, tau) {
-				continue // pruned, or already set from e.v's side
-			}
-			if !inc.g.HasEdge(u, e.v) {
-				structural++
-			}
-			inc.g.SetEdge(u, e.v, e.w)
-		}
-	}
+	oldOff, oldNbr := inc.g.off, inc.g.nbr
+	inc.g.off, inc.g.nbr = inc.spareOff, inc.spareNbr
+	structural = inc.g.link(inc.next, inc.b.Tau, &inc.rev, oldOff, oldNbr)
+	inc.spareOff, inc.spareNbr = oldOff, oldNbr
 	inc.sel, inc.next = inc.next, inc.sel
 	return structural
 }
@@ -229,11 +210,4 @@ func sortByID(set []edge) {
 		}
 		set[j] = e
 	}
-}
-
-// wants reports whether the id-sorted selection list keeps v as a τ-passing
-// neighbor.
-func wants(list []edge, v int, tau float64) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i].v >= v })
-	return i < len(list) && list[i].v == v && math.Abs(list[i].w) >= tau
 }

@@ -60,7 +60,7 @@ func flatten(corr [][]float64, s int) {
 // |w| ≥ τ.
 func sortedGraph(b Builder, corr [][]float64) *Graph {
 	n := len(corr)
-	g := NewGraph(n)
+	var edges []Edge
 	for u := 0; u < n; u++ {
 		var cands []edge
 		for v := 0; v < n; v++ {
@@ -77,23 +77,25 @@ func sortedGraph(b Builder, corr [][]float64) *Graph {
 		})
 		for _, c := range cands[:b.K] {
 			if math.Abs(c.w) >= b.Tau {
-				g.SetEdge(u, c.v, c.w)
+				edges = append(edges, Edge{u, c.v, c.w})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // edgeDiff counts the undirected edges present in exactly one of a and b.
 func edgeDiff(a, b *Graph) int {
 	d := 0
 	for u := 0; u < a.N(); u++ {
-		for _, v := range a.NeighborsSorted(u) {
+		ids, _ := a.Adj(u)
+		for _, v := range ids {
 			if u < v && !b.HasEdge(u, v) {
 				d++
 			}
 		}
-		for _, v := range b.NeighborsSorted(u) {
+		ids, _ = b.Adj(u)
+		for _, v := range ids {
 			if u < v && !a.HasEdge(u, v) {
 				d++
 			}
@@ -110,8 +112,9 @@ func sameGraph(a, b *Graph) error {
 		return fmt.Errorf("edge count %d vs %d", a.Edges(), b.Edges())
 	}
 	for u := 0; u < a.N(); u++ {
-		for _, v := range a.NeighborsSorted(u) {
-			wa, _ := a.Weight(u, v)
+		ids, ws := a.Adj(u)
+		for i, v := range ids {
+			wa := ws[i]
 			wb, ok := b.Weight(u, v)
 			if !ok {
 				return fmt.Errorf("edge (%d,%d) missing", u, v)
@@ -150,7 +153,7 @@ func TestIncrementalMatchesBatchRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			corr := randCorr(rng, tc.n, tc.quant)
-			prev := NewGraph(tc.n)
+			prev := FromEdges(tc.n, nil)
 			for step := 0; step < 60; step++ {
 				switch step % 5 {
 				case 1:
@@ -253,7 +256,7 @@ func TestIncrementalCleanRepairIsNoop(t *testing.T) {
 // TestIncrementalRepairAllocsNothing pins the steady state of the streaming
 // round's selection and repair at zero allocations. The matrices alternate,
 // so every round moves weights and edges through the reused candidate sets
-// and adjacency maps.
+// and adjacency rows.
 func TestIncrementalRepairAllocsNothing(t *testing.T) {
 	const n, k = 200, 10
 	rng := rand.New(rand.NewSource(8))
@@ -263,7 +266,7 @@ func TestIncrementalRepairAllocsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ { // let the adjacency maps reach their size
+	for i := 0; i < 4; i++ { // let the adjacency rows reach their size
 		inc.Repair(a)
 		inc.Repair(c)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,20 +12,25 @@ import (
 )
 
 func TestGraphBasics(t *testing.T) {
-	g := NewGraph(4)
-	if g.N() != 4 || g.Edges() != 0 {
-		t.Fatalf("fresh graph: n=%d edges=%d", g.N(), g.Edges())
+	if g := FromEdges(4, nil); g.N() != 4 || g.Edges() != 0 {
+		t.Fatalf("empty graph: n=%d edges=%d", g.N(), g.Edges())
 	}
-	g.SetEdge(0, 1, 0.9)
-	g.SetEdge(1, 2, -0.8)
-	g.SetEdge(0, 0, 1) // self-loop ignored
+	g := FromEdges(4, []Edge{
+		{0, 1, 0.5},
+		{1, 2, -0.8},
+		{0, 0, 1},   // self-loop ignored
+		{1, 0, 0.9}, // the last weight of a pair wins
+	})
 	if g.Edges() != 2 {
 		t.Errorf("edges = %d, want 2", g.Edges())
 	}
 	if w, ok := g.Weight(1, 0); !ok || w != 0.9 {
 		t.Errorf("Weight(1,0) = %v,%v", w, ok)
 	}
-	if !g.HasEdge(2, 1) || g.HasEdge(0, 3) {
+	if w, ok := g.Weight(0, 1); !ok || w != 0.9 {
+		t.Errorf("Weight(0,1) = %v,%v", w, ok)
+	}
+	if !g.HasEdge(2, 1) || g.HasEdge(0, 3) || g.HasEdge(0, 0) {
 		t.Error("HasEdge wrong")
 	}
 	if g.Degree(1) != 2 || g.Degree(3) != 0 {
@@ -33,23 +39,93 @@ func TestGraphBasics(t *testing.T) {
 	if math.Abs(g.TotalWeight()-1.7) > 1e-12 {
 		t.Errorf("TotalWeight = %v, want 1.7 (abs weights)", g.TotalWeight())
 	}
-	g.RemoveEdge(0, 1)
-	if g.HasEdge(0, 1) || g.Edges() != 1 {
-		t.Error("RemoveEdge failed")
+	ids, w := g.Adj(1)
+	if !slices.Equal(ids, []int{0, 2}) || !slices.Equal(w, []float64{0.9, -0.8}) {
+		t.Errorf("Adj(1) = %v %v", ids, w)
 	}
-	got := g.NeighborsSorted(1)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("NeighborsSorted = %v", got)
+	if ids, w := g.Adj(3); len(ids) != 0 || len(w) != 0 {
+		t.Errorf("Adj(3) = %v %v", ids, w)
 	}
-	count := 0
-	g.Neighbors(2, func(v int, w float64) {
-		count++
-		if v != 1 || w != -0.8 {
-			t.Errorf("neighbor (%d,%v)", v, w)
+	if ids, _ := g.Adj(0); cap(ids) != len(ids) {
+		t.Errorf("Adj(0) exposes capacity %d past its row of %d", cap(ids), len(ids))
+	}
+}
+
+// TestFromEdgesMatchesDense checks the row merge against a dense
+// adjacency matrix: random edges in random order, duplicates and
+// self-loops included, must come out as strictly ascending symmetric rows
+// holding every pair's last weight.
+func TestFromEdgesMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for iter := 0; iter < 50; iter++ {
+		n := 1 + rng.Intn(20)
+		dense := make([][]float64, n)
+		for i := range dense {
+			dense[i] = make([]float64, n)
+			for j := range dense[i] {
+				dense[i][j] = math.NaN() // absent
+			}
 		}
-	})
-	if count != 1 {
-		t.Errorf("visited %d neighbors", count)
+		var edges []Edge
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v, w := rng.Intn(n), rng.Intn(n), 2*rng.Float64()-1
+			edges = append(edges, Edge{u, v, w})
+			if u != v {
+				dense[u][v], dense[v][u] = w, w
+			}
+		}
+		g := FromEdges(n, edges)
+		count := 0
+		for u := 0; u < n; u++ {
+			ids, ws := g.Adj(u)
+			if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+				t.Fatalf("iter %d: row %d not strictly ascending: %v", iter, u, ids)
+			}
+			for v := 0; v < n; v++ {
+				w, ok := g.Weight(u, v)
+				if want := dense[u][v]; ok == math.IsNaN(want) || ok && w != want {
+					t.Fatalf("iter %d: Weight(%d,%d) = %v,%v, want %v", iter, u, v, w, ok, want)
+				}
+				if ok {
+					count++
+				}
+			}
+			if len(ids) != len(ws) {
+				t.Fatalf("iter %d: row %d has %d ids and %d weights", iter, u, len(ids), len(ws))
+			}
+		}
+		if g.Edges()*2 != count {
+			t.Fatalf("iter %d: Edges() = %d, dense count %d", iter, g.Edges(), count/2)
+		}
+	}
+}
+
+// TestTotalWeightOrder pins TotalWeight's summation order: ascending (u, v)
+// over the upper triangle, so repeated calls agree bit for bit with each
+// other and with the hand-ordered sum.
+func TestTotalWeightOrder(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(11))
+	var edges []Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < 0.4 {
+				// Magnitudes spread over many octaves, so the order of
+				// the additions shows in the last bits.
+				edges = append(edges, Edge{u, v, (2*rng.Float64() - 1) * math.Pow(10, float64(rng.Intn(12)-6))})
+			}
+		}
+	}
+	var want float64
+	for _, e := range edges { // generated in ascending (u, v) order
+		want += math.Abs(e.W)
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := FromEdges(n, edges)
+	for i := 0; i < 20; i++ {
+		if got := g.TotalWeight(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalWeight = %v, want %v (ascending order)", i, got, want)
+		}
 	}
 }
 
@@ -107,14 +183,15 @@ func TestBuildGroups(t *testing.T) {
 	// Within-group edges must exist; cross-group must not.
 	inGroup := func(u, v int) bool { return (u < 3) == (v < 3) }
 	for u := 0; u < 6; u++ {
-		g.Neighbors(u, func(v int, w float64) {
+		ids, ws := g.Adj(u)
+		for i, v := range ids {
 			if !inGroup(u, v) {
-				t.Errorf("cross-group edge (%d,%d) w=%v", u, v, w)
+				t.Errorf("cross-group edge (%d,%d) w=%v", u, v, ws[i])
 			}
-			if math.Abs(w) < 0.5 {
-				t.Errorf("edge below τ survived: (%d,%d) w=%v", u, v, w)
+			if math.Abs(ws[i]) < 0.5 {
+				t.Errorf("edge below τ survived: (%d,%d) w=%v", u, v, ws[i])
 			}
-		})
+		}
 		if g.Degree(u) != 2 {
 			t.Errorf("degree(%d) = %d, want 2 (both same-group partners)", u, g.Degree(u))
 		}
@@ -193,17 +270,20 @@ func TestBuildProperties(t *testing.T) {
 			return false
 		}
 		for u := 0; u < n; u++ {
-			ok := true
-			g.Neighbors(u, func(v int, wt float64) {
+			ids, ws := g.Adj(u)
+			for i, v := range ids {
+				wt := ws[i]
 				if math.Abs(wt) < tau || math.Abs(wt) > 1 {
-					ok = false
+					return false
 				}
-				w2, exists := g.Weight(v, u)
-				if !exists || w2 != wt {
-					ok = false
+				if i > 0 && ids[i-1] >= v {
+					return false // rows are strictly ascending
 				}
-			})
-			if !ok || g.Degree(u) > n-1 {
+				if w2, exists := g.Weight(v, u); !exists || w2 != wt {
+					return false
+				}
+			}
+			if g.Degree(u) > n-1 {
 				return false
 			}
 		}

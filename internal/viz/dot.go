@@ -32,11 +32,12 @@ func WriteDOT(w io.Writer, g *tsg.Graph, p louvain.Partition, names []string) er
 		b.WriteString(fmt.Sprintf("  n%d [label=%q, fillcolor=%q];\n", v, label, CommunityColor(comm)))
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.NeighborsSorted(u) {
+		ids, wts := g.Adj(u)
+		for i, v := range ids {
 			if v < u {
 				continue // each undirected edge once
 			}
-			wt, _ := g.Weight(u, v)
+			wt := wts[i]
 			style := ""
 			if wt < 0 {
 				style = ", style=dashed"

@@ -37,9 +37,7 @@ func TestCommunityColor(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := tsg.NewGraph(4)
-	g.SetEdge(0, 1, 0.9)
-	g.SetEdge(2, 3, -0.8)
+	g := tsg.FromEdges(4, []tsg.Edge{{U: 0, V: 1, W: 0.9}, {U: 2, V: 3, W: -0.8}})
 	p := louvain.Partition{Of: []int{0, 0, 1, 1}, Count: 2}
 	var buf bytes.Buffer
 	if err := WriteDOT(&buf, g, p, []string{"pump", "valve", "fan", "belt"}); err != nil {
