@@ -4,10 +4,10 @@ GO ?= go
 # module included), the full test suite under the race detector (the serve
 # concurrency tests only mean something with -race), the fault-injection
 # suite, the pinned-seed crash-recovery equivalence run, the alert-delivery
-# suite, the scenario-corpus quality gate, the fleet-replay acceptance gate,
+# suite, a short run of every fuzz target, the scenario-corpus quality gate, the fleet-replay acceptance gate,
 # and the sharded-cluster equivalence gate.
 .PHONY: ci
-ci: fmt vet staticcheck build benchbuild race faulttest crashtest alerttest benchsmoke scenariotest fleettest clustertest
+ci: fmt vet staticcheck build benchbuild race faulttest crashtest alerttest benchsmoke fuzzsmoke scenariotest fleettest clustertest
 
 .PHONY: fmt
 fmt:
@@ -93,6 +93,19 @@ bench:
 benchsmoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./internal/core/ ./internal/manager/ \
 		./internal/tsg/ ./internal/stats/ ./internal/louvain/
+
+# fuzzsmoke fuzzes every Fuzz target of the root module for 5 s, one
+# target per invocation (go test -fuzz takes a single target); the plain
+# test run only replays their seed corpora. A failing input is written to
+# the package's testdata/fuzz directory; commit it as a regression seed.
+.PHONY: fuzzsmoke
+fuzzsmoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd *.go 2>/dev/null); do \
+		for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz ./$$(dirname $$f) $$fz"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime=5s ./$$(dirname $$f); \
+		done; \
+	done
 
 # scenariotest is the detection-quality gate: a fast, pinned-seed subset of
 # the scenario corpus re-runs the gate config from BENCH_scenarios.json and

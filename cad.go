@@ -83,8 +83,10 @@ var ErrBadConfig = core.ErrBadConfig
 // and a series of the given length.
 func DefaultConfig(n, length int) Config { return core.DefaultConfig(n, length) }
 
-// Detector runs CAD over batches of data. It is stateful (warm-up and
-// streaming state persist) and not safe for concurrent use.
+// Detector runs CAD over whole series (WarmUp, Detect) or, wrapped in a
+// Streamer, one column at a time; both run the same round pipeline. It is
+// stateful (warm-up and streaming state persist) and not safe for
+// concurrent use.
 type Detector = core.Detector
 
 // StageTimings breaks one detection round into its pipeline stages.

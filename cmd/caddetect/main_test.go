@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -111,5 +113,43 @@ func TestDetectWithConfigFile(t *testing.T) {
 	}
 	if err := detect(live, "", filepath.Join(dir, "missing.json"), 0, 0, 0, 0.5, 0.3, false, ""); err == nil {
 		t.Error("missing config file should error")
+	}
+}
+
+// TestMain lets a test run the command itself: with CADDETECT_MAIN set, the
+// test binary is caddetect, reading its flags from the command line.
+func TestMain(m *testing.M) {
+	if os.Getenv("CADDETECT_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDetectRejectsNaN: a CSV with a NaN reading — the CSV parser accepts
+// the token — makes caddetect exit 1 with an error that names the sensor
+// and the time point, instead of detecting on poisoned correlations.
+func TestDetectRejectsNaN(t *testing.T) {
+	dir := t.TempDir()
+	live := filepath.Join(dir, "live.csv")
+	s := cad.ZeroSeries(8, 600)
+	for tick := 0; tick < 600; tick++ {
+		for i := 0; i < 8; i++ {
+			s.Set(i, tick, math.Sin(float64(tick+i)/7))
+		}
+	}
+	s.Set(2, 123, math.NaN())
+	if err := s.SaveCSV(live); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-input", live)
+	cmd.Env = append(os.Environ(), "CADDETECT_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("caddetect exited with %v, want status 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "non-finite reading: sensor 2 at time point 123") {
+		t.Fatalf("error does not name the sensor:\n%s", out)
 	}
 }

@@ -109,13 +109,12 @@ func main() {
 		sensors  = flag.Int("sensors", 0, "number of sensors of the default stream (required unless -warmup is given)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		warmup   = flag.String("warmup", "", "anomaly-free CSV warming up the default stream")
-		cfgFile  = flag.String("config", "", "detector config JSON file (replaces -w/-s/-k/-tau/-theta/-approx)")
+		cfgFile  = flag.String("config", "", "detector config JSON file (replaces -w/-s/-k/-tau/-theta)")
 		w        = flag.Int("w", 0, "sliding window length (0 = auto)")
 		s        = flag.Int("s", 0, "window step (0 = auto)")
 		k        = flag.Int("k", 0, "correlation neighbors per sensor (0 = auto)")
 		tau      = flag.Float64("tau", 0.5, "correlation threshold τ")
 		theta    = flag.Float64("theta", 0.3, "outlier threshold θ")
-		approx   = flag.Bool("approx", false, "build TSGs with the HNSW index (for very wide sensor arrays)")
 		capacity = flag.Int("capacity", 64, "max resident streams before eviction (needs -snapdir) or rejection")
 		idleTTL  = flag.Duration("idle-ttl", 0, "evict streams idle this long (0 = never; needs -snapdir)")
 		snapdir  = flag.String("snapdir", "", "directory for evicted-stream snapshots ('' disables eviction)")
@@ -153,7 +152,7 @@ func main() {
 		fleetOn: *fleetOn, fleetCfg: fleetCfg,
 		nodeID: *nodeID, advertise: *advert, peers: *peers,
 	}
-	if err := run(*sensors, *warmup, *cfgFile, *w, *s, *k, *tau, *theta, *approx, opts, logger); err != nil {
+	if err := run(*sensors, *warmup, *cfgFile, *w, *s, *k, *tau, *theta, opts, logger); err != nil {
 		fmt.Fprintf(os.Stderr, "cadserve: %v\n", err)
 		os.Exit(1)
 	}
@@ -185,7 +184,7 @@ func loadConfigFile(path string) (core.Config, error) {
 // the config file when given, from the tuning flags otherwise — and returns
 // the warmed detector for the default stream (split from run so tests can
 // exercise it without binding a socket).
-func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, approx bool) (*core.Detector, error) {
+func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64) (*core.Detector, error) {
 	var history *cad.Series
 	if warmup != "" {
 		var err error
@@ -218,7 +217,6 @@ func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64,
 		cfg = core.DefaultConfig(sensors, length)
 		cfg.Tau = tau
 		cfg.Theta = theta
-		cfg.ApproxTSG = approx
 		if w > 0 && s > 0 {
 			cfg.Window = cad.Windowing{W: w, S: s}
 		}
@@ -410,8 +408,8 @@ func sweepInterval(ttl time.Duration) time.Duration {
 	return iv
 }
 
-func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, approx bool, o serverOptions, logger *slog.Logger) error {
-	det, err := setup(sensors, warmup, cfgFile, w, s, k, tau, theta, approx)
+func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, o serverOptions, logger *slog.Logger) error {
+	det, err := setup(sensors, warmup, cfgFile, w, s, k, tau, theta)
 	if err != nil {
 		return err
 	}
@@ -506,7 +504,7 @@ func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, a
 
 	logger.Info("cadserve listening", "addr", o.addr, "sensors", det.Sensors(),
 		"w", cfg.Window.W, "s", cfg.Window.S, "k", cfg.K,
-		"tau", cfg.Tau, "theta", cfg.Theta, "approx", cfg.ApproxTSG,
+		"tau", cfg.Tau, "theta", cfg.Theta,
 		"capacity", o.capacity, "idleTTL", o.idleTTL, "snapdir", o.snapdir,
 		"wal", o.walDir, "fsync", o.fsync, "pprof", o.pprofOn)
 

@@ -35,7 +35,7 @@ func TestSetupWithWarmup(t *testing.T) {
 	dir := t.TempDir()
 	warm := filepath.Join(dir, "warm.csv")
 	writeWarmup(t, warm, 8, 600)
-	det, err := setup(0, warm, "", 40, 4, 3, 0.4, 0.2, false)
+	det, err := setup(0, warm, "", 40, 4, 3, 0.4, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestSetupWithWarmup(t *testing.T) {
 }
 
 func TestSetupWithoutWarmup(t *testing.T) {
-	det, err := setup(10, "", "", 0, 0, 0, 0.5, 0.3, true)
+	det, err := setup(10, "", "", 0, 0, 0, 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det.Sensors() != 10 || !det.Config().ApproxTSG {
-		t.Errorf("setup: sensors=%d approx=%v", det.Sensors(), det.Config().ApproxTSG)
+	if det.Sensors() != 10 {
+		t.Errorf("setup: sensors=%d", det.Sensors())
 	}
 	if det.Rounds() != 0 {
 		t.Error("no warm-up expected")
@@ -64,29 +64,29 @@ func TestSetupWithoutWarmup(t *testing.T) {
 }
 
 func TestSetupErrors(t *testing.T) {
-	if _, err := setup(0, "", "", 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(0, "", "", 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("no sensors and no warm-up should error")
 	}
-	if _, err := setup(1, "", "", 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(1, "", "", 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("1 sensor should error")
 	}
-	if _, err := setup(0, "/nonexistent.csv", "", 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(0, "/nonexistent.csv", "", 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("missing warm-up file should error")
 	}
 	dir := t.TempDir()
 	warm := filepath.Join(dir, "warm.csv")
 	writeWarmup(t, warm, 8, 300)
-	if _, err := setup(5, warm, "", 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(5, warm, "", 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("sensor-count mismatch should error")
 	}
 	// Invalid windowing flows through as a config error.
-	if _, err := setup(8, "", "", 4, 4, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(8, "", "", 4, 4, 0, 0.5, 0.3); err == nil {
 		t.Error("w == s should error")
 	}
 }
 
 func TestNewServerRouting(t *testing.T) {
-	det, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3, false)
+	det, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNewServerRouting(t *testing.T) {
 		t.Error("/debug/pprof/ should not be mounted without -pprof")
 	}
 
-	det2, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3, false)
+	det2, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSetupWithConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	det, err := setup(8, "", path, 0, 0, 0, 0.5, 0.3, false)
+	det, err := setup(8, "", path, 0, 0, 0, 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestSetupWithConfigFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"windw":{"w":50,"s":5}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setup(8, "", bad, 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(8, "", bad, 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("unknown config field should error")
 	}
-	if _, err := setup(8, "", filepath.Join(dir, "missing.json"), 0, 0, 0, 0.5, 0.3, false); err == nil {
+	if _, err := setup(8, "", filepath.Join(dir, "missing.json"), 0, 0, 0, 0.5, 0.3); err == nil {
 		t.Error("missing config file should error")
 	}
 }
@@ -161,7 +161,7 @@ func TestSetupWithConfigFile(t *testing.T) {
 func TestNewManagerFromFlags(t *testing.T) {
 	dir := t.TempDir()
 	mgr := newManager(serverOptions{capacity: 2, idleTTL: time.Hour, snapdir: dir}, nil, nil, nil)
-	det, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3, false)
+	det, err := setup(8, "", "", 0, 0, 0, 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 var ErrBadConfig = errors.New("cad: invalid config")
 
 // ErrBadReading reports a non-finite (NaN or ±Inf) sensor reading pushed
-// into a streamer.
+// into a streamer or passed to WarmUp or Detect.
 var ErrBadReading = errors.New("cad: non-finite reading")
 
 // RCMode selects how the ratio of co-appearance number (paper Def. 6) is
@@ -92,23 +92,16 @@ type Config struct {
 	RCHorizon int
 	// RCAlpha is the EWMA factor for RCExponential (ignored otherwise).
 	RCAlpha float64
-	// ApproxTSG builds each round's TSG with an HNSW index (O(n log n))
-	// instead of the exact O(n²·w) correlation matrix. Worthwhile above
-	// roughly 500 sensors; the graph loses a few of its weakest edges.
-	ApproxTSG bool
-	// ApproxSeed drives the HNSW level draws when ApproxTSG is set; with a
-	// fixed seed detection remains deterministic.
-	ApproxSeed int64
 	// Incremental once chose between the Streamer's batch-recompute and
 	// incremental round pipelines.
 	//
 	// Deprecated: ignored; exact configs always stream incrementally.
 	Incremental bool
-	// RefreshEvery is the streaming exact-refresh cadence: every
-	// RefreshEvery rounds the Streamer recomputes its sliding correlation
-	// sums from the raw window, discarding accumulated floating-point
-	// drift. Zero means the default of 64. Ignored under ApproxTSG, whose
-	// rounds rebuild from the window anyway.
+	// RefreshEvery is the exact-refresh cadence of the round pipeline:
+	// every RefreshEvery rounds (counting warm-up) the Streamer — and so
+	// Detect and WarmUp — recomputes its sliding correlation sums from the
+	// raw window, discarding accumulated floating-point drift. Zero means
+	// the default of 64.
 	RefreshEvery int
 	// DisableVariationRule switches the abnormal-round criterion from the
 	// 3σ rule on n_r to a fixed count |O_r| ≥ FixedXi (ablation of §IV-E's

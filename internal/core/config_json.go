@@ -24,8 +24,9 @@ func ParseRCMode(s string) (RCMode, error) {
 // configJSON is the JSON wire format of Config, shared by POST /v1/streams
 // bodies and the caddetect/cadserve -config files. Field names are stable;
 // RCMode travels as its string name. Every field is always emitted so a
-// marshal→unmarshal round trip is lossless — except "incremental", which
-// older documents carry: it is accepted and discarded, and never emitted.
+// marshal→unmarshal round trip is lossless — except "incremental",
+// "approxTSG" and "approxSeed", which older documents carry: they are
+// accepted and discarded, and never emitted.
 type configJSON struct {
 	Window               windowingJSON `json:"window"`
 	K                    int           `json:"k"`
@@ -38,13 +39,15 @@ type configJSON struct {
 	RCMode               string        `json:"rcMode"`
 	RCHorizon            int           `json:"rcHorizon"`
 	RCAlpha              float64       `json:"rcAlpha"`
-	ApproxTSG            bool          `json:"approxTSG"`
-	ApproxSeed           int64         `json:"approxSeed"`
 	RefreshEvery         int           `json:"refreshEvery"`
 	DisableVariationRule bool          `json:"disableVariationRule"`
 	FixedXi              int           `json:"fixedXi"`
 	// Incremental is read and discarded (see Config.Incremental).
 	Incremental bool `json:"incremental,omitempty"`
+	// These two selected an HNSW-built TSG, which is gone: they are read
+	// and discarded, so a stored config runs exact.
+	ApproxTSG  bool  `json:"approxTSG,omitempty"`
+	ApproxSeed int64 `json:"approxSeed,omitempty"`
 }
 
 type windowingJSON struct {
@@ -66,8 +69,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		RCMode:               c.RCMode.String(),
 		RCHorizon:            c.RCHorizon,
 		RCAlpha:              c.RCAlpha,
-		ApproxTSG:            c.ApproxTSG,
-		ApproxSeed:           c.ApproxSeed,
 		RefreshEvery:         c.RefreshEvery,
 		DisableVariationRule: c.DisableVariationRule,
 		FixedXi:              c.FixedXi,
@@ -100,8 +101,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	c.RCMode = mode
 	c.RCHorizon = aux.RCHorizon
 	c.RCAlpha = aux.RCAlpha
-	c.ApproxTSG = aux.ApproxTSG
-	c.ApproxSeed = aux.ApproxSeed
 	c.RefreshEvery = aux.RefreshEvery
 	c.DisableVariationRule = aux.DisableVariationRule
 	c.FixedXi = aux.FixedXi

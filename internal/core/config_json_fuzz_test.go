@@ -20,6 +20,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add([]byte(`{"window":{"w":200,"s":4},"k":10,"tau":0.5,"rcMode":"cumulative"}`))
 	f.Add([]byte(`{"rcMode":"exponential","rcAlpha":0.2,"approxTSG":true,"approxSeed":-7}`))
 	f.Add([]byte(`{"incremental":false,"k":3}`))
+	f.Add([]byte(`{"approxTSG":true,"k":3}`))
+	f.Add([]byte(`{"approxSeed":42,"approxTSG":false}`))
 	f.Add([]byte(`{"k":3,"typo":1}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, doc []byte) {

@@ -55,11 +55,10 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Window: mts.Windowing{W: 200, S: 4}, K: 10, Tau: 0.5, Theta: 0.3,
 			Eta: 3, RCMode: RCCumulative,
 		}},
-		{"exponential-approx", Config{
+		{"exponential", Config{
 			Window: mts.Windowing{W: 64, S: 8}, K: 7, Tau: 0.45, Theta: 0.25,
 			Eta: 2.5, SigmaFloor: 0.75, MinHistory: 12, HistoryHorizon: 100,
-			RCMode: RCExponential, RCAlpha: 0.2,
-			ApproxTSG: true, ApproxSeed: 42,
+			RCMode: RCExponential, RCAlpha: 0.2, RefreshEvery: 16,
 		}},
 		{"ablation", Config{
 			Window: mts.Windowing{W: 30, S: 3}, K: 3, Tau: 0.4, Theta: 0.2,
@@ -102,40 +101,54 @@ func TestConfigJSONWireFormat(t *testing.T) {
 	}
 	// Every field is always emitted, so documents are self-describing.
 	for _, key := range []string{"k", "tau", "theta", "eta", "sigmaFloor", "minHistory",
-		"historyHorizon", "rcHorizon", "rcAlpha", "approxTSG", "approxSeed",
+		"historyHorizon", "rcHorizon", "rcAlpha", "refreshEvery",
 		"disableVariationRule", "fixedXi"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("wire format missing %q: %s", key, buf)
 		}
 	}
-	if _, ok := raw["incremental"]; ok {
-		t.Errorf("wire format still emits the retired \"incremental\" key: %s", buf)
+	for _, key := range []string{"incremental", "approxTSG", "approxSeed"} {
+		if _, ok := raw[key]; ok {
+			t.Errorf("wire format still emits the retired %q key: %s", key, buf)
+		}
 	}
 }
 
 // TestConfigJSONIncrementalKeyIgnored: documents written while
-// "incremental" chose the streaming pipeline keep loading, and the key no
-// longer opts a stream out of the incremental path.
+// "incremental" chose the streaming pipeline, or "approxTSG" and
+// "approxSeed" an HNSW-built TSG, keep loading, and none of the keys takes
+// a stream off the exact incremental path.
 func TestConfigJSONIncrementalKeyIgnored(t *testing.T) {
-	doc := `{"window":{"w":30,"s":3},"k":3,"tau":0.4,"theta":0.2,"eta":3,"minHistory":8,"incremental":false}`
-	var cfg Config
-	if err := json.Unmarshal([]byte(doc), &cfg); err != nil {
-		t.Fatalf("Unmarshal(%s) = %v", doc, err)
-	}
-	det, err := NewDetector(8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := NewStreamer(det).SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var st persistedStreamer
-	if err := gob.NewDecoder(&snap).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.HasAcc {
-		t.Fatal(`"incremental": false streamer saved no correlation accumulator`)
+	const base = `{"window":{"w":30,"s":3},"k":3,"tau":0.4,"theta":0.2,"eta":3,"minHistory":8,`
+	for _, retired := range []string{`"incremental":false`, `"approxTSG":true,"approxSeed":42`, `"approxSeed":-7`} {
+		doc := base + retired + "}"
+		var cfg Config
+		if err := json.Unmarshal([]byte(doc), &cfg); err != nil {
+			t.Fatalf("Unmarshal(%s) = %v", doc, err)
+		}
+		det, err := NewDetector(8, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := NewStreamer(det).SaveState(&snap); err != nil {
+			t.Fatal(err)
+		}
+		var st persistedStreamer
+		if err := gob.NewDecoder(&snap).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if !st.HasAcc {
+			t.Fatalf("%s: streamer saved no correlation accumulator", retired)
+		}
+		wire, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Config
+		if err := json.Unmarshal([]byte(string(wire[:len(wire)-1])+","+retired+"}"), &again); err != nil || again != cfg {
+			t.Fatalf("%s: re-adding the retired key changed the config: %v, %+v vs %+v", retired, err, again, cfg)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,11 +67,12 @@ type RoundReport struct {
 	// Communities is the number of Louvain communities found.
 	Communities int
 	// WindowEnd is the 1-based index just past the last time point of this
-	// round's window, in the coordinates of the series being processed. For
-	// batch Detect it equals Window.Bounds(Round).to; for a Streamer it
-	// counts actually-consumed columns, which can run ahead of the nominal
-	// round cadence when a transient round failure forced a retry with the
-	// window slid further. Zero in reports predating this field.
+	// round's window. In a Detect result it is relative to the series and
+	// equals Window.Bounds(Round).to; from a Streamer it counts the columns
+	// actually consumed, offset by the detector's warm-up, and can run ahead
+	// of the nominal round cadence when a transient round failure forced a
+	// retry with the window slid further. Zero in reports predating this
+	// field.
 	WindowEnd int
 }
 
@@ -84,24 +86,22 @@ type Result struct {
 	// the score of the first round whose window fully covers t (0 before
 	// any round completes).
 	PointScores []float64
-	// PointLabels is the binary per-time-point prediction derived from the
-	// abnormal rounds (see Detector.pointSpan for the mapping).
+	// PointLabels is the binary per-time-point prediction: each abnormal
+	// round marks the final step of its window (see Detector.Detect).
 	PointLabels []bool
 }
 
 // Detector runs CAD. It is stateful: the co-appearance history, outlier set,
-// and n_r statistics persist across calls, which is what makes WarmUp and
-// streaming detection (ProcessWindow) work. A Detector is not safe for
-// concurrent use.
+// and n_r statistics persist across calls, which is what lets WarmUp prime
+// a later Detect or Streamer. A Detector is not safe for concurrent use.
 type Detector struct {
 	cfg     Config
 	n       int
 	builder tsg.Builder
 
-	// incTSG maintains the TSG across rounds on the incremental path
-	// (ProcessCorr). Lazily created; never persisted — its state is a pure
-	// function of the correlation matrix, so the first repair after a
-	// restore rebuilds it exactly.
+	// incTSG maintains the TSG across rounds. Lazily created; never
+	// persisted — its state is a pure function of the correlation matrix,
+	// so the first repair after a restore rebuilds it exactly.
 	incTSG *tsg.Incremental
 	// lw is the Louvain scratch every round of this detector reuses.
 	lw louvain.Workspace
@@ -225,176 +225,82 @@ func (d *Detector) HistoryStdDev() float64 { return d.hist.StdDev() }
 
 // WarmUp processes the historical series T_his exactly as Algorithm 2's
 // WarmUp function: every round is mined for outliers and its n_r feeds the
-// μ/σ history, but no anomalies are reported. The co-appearance state
-// carries over into subsequent Detect/ProcessWindow calls.
+// μ/σ history, but no anomalies are reported. The rounds run through a
+// Streamer, the same pipeline as Detect and live ingestion, and the
+// co-appearance state carries over into later Detect calls and streams.
 func (d *Detector) WarmUp(his *mts.MTS) error {
-	if his.Sensors() != d.n {
-		return fmt.Errorf("%w: warm-up has %d sensors, detector expects %d", ErrBadConfig, his.Sensors(), d.n)
-	}
-	wd := d.cfg.Window
-	R := wd.Rounds(his.Len())
-	if R == 0 {
-		return fmt.Errorf("%w: warm-up series too short for window w=%d", ErrBadConfig, wd.W)
-	}
-	for r := 0; r < R; r++ {
-		win, err := wd.Window(his, r)
-		if err != nil {
-			return err
-		}
-		if _, err := d.step(win); err != nil {
-			return fmt.Errorf("cad: warm-up round %d: %w", r, err)
-		}
-	}
-	return nil
+	_, err := d.stream(his, "warm-up")
+	return err
 }
 
-// Detect runs Algorithm 2 over T and returns all detected anomalies. The
-// detector's state advances; to analyze an unrelated series build a new
-// Detector.
+// Detect runs Algorithm 2 over T and returns all detected anomalies. It
+// pushes T through a Streamer one column at a time (§IV-F
+// "Generalization": each new round repeats lines 6–11) and assembles the
+// reports with a Tracker; Round and WindowEnd in the result are relative to
+// T. The detector's state advances; to analyze an unrelated series build a
+// new Detector.
 func (d *Detector) Detect(t *mts.MTS) (*Result, error) {
-	if t.Sensors() != d.n {
-		return nil, fmt.Errorf("%w: series has %d sensors, detector expects %d", ErrBadConfig, t.Sensors(), d.n)
+	reps, err := d.stream(t, "series")
+	if err != nil {
+		return nil, err
 	}
 	wd := d.cfg.Window
-	R := wd.Rounds(t.Len())
-	if R == 0 {
-		return nil, fmt.Errorf("%w: series length %d too short for window w=%d", ErrBadConfig, t.Len(), wd.W)
-	}
 	res := &Result{
-		Rounds:      make([]RoundReport, 0, R),
+		Rounds:      reps,
 		PointScores: make([]float64, t.Len()),
 		PointLabels: make([]bool, t.Len()),
 	}
-	var open *Anomaly
-	sensorOnset := make(map[int]int)
-	for r := 0; r < R; r++ {
-		win, err := wd.Window(t, r)
-		if err != nil {
-			return nil, fmt.Errorf("cad: round %d: %w", r, err)
-		}
-		rep, err := d.step(win)
-		if err != nil {
-			return nil, fmt.Errorf("cad: round %d: %w", r, err)
-		}
+	tr := NewTracker(d.cfg)
+	for r := range reps {
+		rep := &reps[r]
 		rep.Round = r
 		_, rep.WindowEnd = wd.Bounds(r)
-		res.Rounds = append(res.Rounds, rep)
-
+		tr.Push(*rep)
 		if rep.Abnormal {
-			if open == nil {
-				open = &Anomaly{FirstRound: r, LastRound: r, Score: rep.Score}
-				sensorOnset = make(map[int]int)
-			}
-			open.LastRound = r
-			if rep.Score > open.Score {
-				open.Score = rep.Score
-			}
-			for _, v := range rep.Outliers {
-				if _, seen := sensorOnset[v]; !seen {
-					sensorOnset[v] = r
-				}
-			}
-			from, to := d.pointSpan(r)
-			for p := from; p < to && p < t.Len(); p++ {
+			// An abnormal round implicates the final step of its window,
+			// so consecutive abnormal rounds mark contiguous time and an
+			// anomaly's first marked point is the moment it became visible
+			// at the window's edge — which is what makes the alarm early
+			// under DPA. Tracker spans anomalies the same way.
+			for p := max(rep.WindowEnd-wd.S, 0); p < rep.WindowEnd; p++ {
 				res.PointLabels[p] = true
 			}
-		} else if open != nil {
-			res.Anomalies = append(res.Anomalies, d.finish(open, sensorOnset))
-			open = nil
 		}
 	}
-	if open != nil {
-		res.Anomalies = append(res.Anomalies, d.finish(open, sensorOnset))
-	}
+	tr.Flush()
+	res.Anomalies = tr.Drain()
 	// Point scores: point t takes the score of the first round covering it.
-	for p := 0; p < t.Len(); p++ {
-		r := wd.RoundOf(p)
-		if r < 0 {
-			r = 0
-		}
-		if r >= R {
-			r = R - 1
-		}
-		res.PointScores[p] = res.Rounds[r].Score
+	for p := range res.PointScores {
+		res.PointScores[p] = reps[min(max(wd.RoundOf(p), 0), len(reps)-1)].Score
 	}
 	return res, nil
 }
 
-// ProcessWindow advances the detector by one round with an explicit window
-// (streaming use; the caller owns window assembly — see Streamer for a
-// column-at-a-time wrapper). The window must be exactly w columns.
-func (d *Detector) ProcessWindow(win *mts.MTS) (RoundReport, error) {
-	if win.Sensors() != d.n {
-		return RoundReport{}, fmt.Errorf("%w: window has %d sensors, detector expects %d", ErrBadConfig, win.Sensors(), d.n)
+// stream validates t and pushes it through a fresh Streamer over d,
+// returning the reports of every round. The whole series is checked before
+// the first push, so a rejected series leaves the detector untouched.
+func (d *Detector) stream(t *mts.MTS, what string) ([]RoundReport, error) {
+	if t.Sensors() != d.n {
+		return nil, fmt.Errorf("%w: %s has %d sensors, detector expects %d", ErrBadConfig, what, t.Sensors(), d.n)
 	}
-	if win.Len() != d.cfg.Window.W {
-		return RoundReport{}, fmt.Errorf("%w: window length %d, want w=%d", ErrBadConfig, win.Len(), d.cfg.Window.W)
+	if d.cfg.Window.Rounds(t.Len()) == 0 {
+		return nil, fmt.Errorf("%w: %s length %d too short for window w=%d", ErrBadConfig, what, t.Len(), d.cfg.Window.W)
 	}
-	rep, err := d.step(win)
-	rep.Round = d.round - 1
-	_, rep.WindowEnd = d.cfg.Window.Bounds(rep.Round)
-	return rep, err
-}
-
-// finish converts an open anomaly plus its sensor onset map into the final
-// record.
-func (d *Detector) finish(a *Anomaly, onsets map[int]int) Anomaly {
-	a.Sensors = make([]int, 0, len(onsets))
-	for v := range onsets {
-		a.Sensors = append(a.Sensors, v)
+	for i, row := range t.Rows() {
+		if p := slices.IndexFunc(row, nonFinite); p >= 0 {
+			return nil, fmt.Errorf("%w: sensor %d at time point %d of the %s", ErrBadReading, i, p, what)
+		}
 	}
-	sort.Ints(a.Sensors)
-	a.Onsets = make([]int, len(a.Sensors))
-	for i, v := range a.Sensors {
-		a.Onsets[i] = onsets[v]
-	}
-	from, _ := d.pointSpan(a.FirstRound)
-	_, to := d.pointSpan(a.LastRound)
-	a.Start, a.End = from, to
-	return *a
-}
-
-// pointSpan maps an abnormal round to the time points it newly implicates:
-// the final step's worth of columns of its window. Consecutive abnormal
-// rounds therefore mark contiguous time, and the first marked point of an
-// anomaly is the moment the anomaly became visible at the window's edge —
-// which is what makes the alarm early under DPA.
-func (d *Detector) pointSpan(r int) (from, to int) {
-	_, to = d.cfg.Window.Bounds(r)
-	from = to - d.cfg.Window.S
-	if from < 0 {
-		from = 0
-	}
-	return from, to
-}
-
-// partition runs the stateless half of Algorithm 1 — TSG construction and
-// community detection — for one window, timing each stage.
-func (d *Detector) partition(win *mts.MTS) (louvain.Partition, StageTimings, error) {
-	var (
-		g   *tsg.Graph
-		st  StageTimings
-		err error
-	)
-	start := time.Now()
-	if d.cfg.ApproxTSG {
-		g, err = d.builder.BuildApprox(win, tsg.ApproxConfig{Seed: d.cfg.ApproxSeed})
-	} else {
-		g, err = d.builder.Build(win)
-	}
-	st.TSGBuild = time.Since(start)
+	reps, err := NewStreamer(d).PushSeries(t)
 	if err != nil {
-		return louvain.Partition{}, st, err
+		return nil, fmt.Errorf("cad: %s: %w", what, err)
 	}
-	start = time.Now()
-	part := d.lw.Communities(g)
-	st.Louvain = time.Since(start)
-	return part, st, nil
+	return reps, nil
 }
 
 // ProcessCorr advances the detector by one round from a precomputed
 // correlation matrix, which must be n×n and symmetric. It runs the same
-// round as the Streamer's exact path: the TSG is repaired in place rather
+// round as the Streamer: the TSG is repaired in place rather
 // than rebuilt, and community detection warm-starts from the previous
 // round's partition. dirty is ignored; it remains so existing callers keep
 // compiling.
@@ -413,7 +319,7 @@ func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, err
 // processTriangle is the exact streaming round: the correlations corr reads
 // go straight to the TSG repair, then Louvain and the co-appearance advance.
 func (d *Detector) processTriangle(corr tsg.Triangle) (RoundReport, error) {
-	part, st, err := d.partitionIncremental(corr)
+	part, st, err := d.partition(corr)
 	if err != nil {
 		return RoundReport{}, err
 	}
@@ -423,9 +329,9 @@ func (d *Detector) processTriangle(corr tsg.Triangle) (RoundReport, error) {
 	return rep, nil
 }
 
-// partitionIncremental is partition's counterpart on the incremental path:
-// TSG repair followed by warm-started Louvain.
-func (d *Detector) partitionIncremental(corr tsg.Triangle) (louvain.Partition, StageTimings, error) {
+// partition runs the stateless half of Algorithm 1 for one round, timing
+// each stage: the TSG repair followed by warm-started Louvain.
+func (d *Detector) partition(corr tsg.Triangle) (louvain.Partition, StageTimings, error) {
 	var st StageTimings
 	start := time.Now()
 	if d.incTSG == nil {
@@ -445,7 +351,7 @@ func (d *Detector) partitionIncremental(corr tsg.Triangle) (louvain.Partition, S
 		// CommunitiesSeeded verifies it is still a local optimum in one
 		// cheap pass and reruns cold the moment anything moves. Rounds
 		// that churn edges — anomalies — always take the cold path, which
-		// keeps decisions aligned with Detect's cold rebuild. The outlier-set
+		// keeps decisions aligned with a cold rebuild. The outlier-set
 		// guard covers the remaining hazard: while an anomaly is in flight
 		// the weights swing hard enough that the seed and a cold start can
 		// be *different* vertex-stable local optima even on an identical
@@ -470,16 +376,6 @@ func (d *Detector) anyOutlier() bool {
 		}
 	}
 	return false
-}
-
-// step runs Algorithm 1 (OutlierDetection) for one window and applies the
-// abnormal-round rule.
-func (d *Detector) step(win *mts.MTS) (RoundReport, error) {
-	part, st, err := d.partition(win)
-	if err != nil {
-		return RoundReport{}, err
-	}
-	return d.observedAdvance(part, st), nil
 }
 
 // observedAdvance runs advance and reports the round to the attached

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cad/internal/mts"
@@ -254,44 +255,60 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamerMatchesBatch warms three detectors up on the same history —
+// the batch oracle, a Streamer and Detect — and requires the two pipelines
+// to reproduce the oracle's decisions on the test series. Detect's reports
+// are series-relative; the streamer's window ends count on from the
+// warm-up.
 func TestStreamerMatchesBatch(t *testing.T) {
 	his := synth(8, 3, 4, 600, nil, -1, -1)
 	test := synth(9, 3, 4, 600, []int{4, 5}, 300, 420)
 	cfg := testConfig()
-
-	batch, err := NewDetector(12, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.WarmUp(his); err != nil {
-		t.Fatal(err)
-	}
-	batchRes, err := batch.Detect(test)
-	if err != nil {
-		t.Fatal(err)
+	fresh := func() *Detector {
+		det, err := NewDetector(12, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
 	}
 
-	stream, err := NewDetector(12, cfg)
+	oracle := fresh()
+	if _, err := BatchRounds(oracle, his); err != nil {
+		t.Fatal(err)
+	}
+	want, err := BatchRounds(oracle, test)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	stream := fresh()
 	if err := stream.WarmUp(his); err != nil {
 		t.Fatal(err)
 	}
-	sr := NewStreamer(stream)
-	reps, err := sr.PushSeries(test)
+	base := stream.Rounds() * cfg.Window.S
+	reps, err := NewStreamer(stream).PushSeries(test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != len(batchRes.Rounds) {
-		t.Fatalf("streamer emitted %d rounds, batch %d", len(reps), len(batchRes.Rounds))
-	}
 	for i := range reps {
-		if reps[i].Variations != batchRes.Rounds[i].Variations {
-			t.Errorf("round %d: stream n_r=%d batch n_r=%d", i, reps[i].Variations, batchRes.Rounds[i].Variations)
-		}
-		if reps[i].Abnormal != batchRes.Rounds[i].Abnormal {
-			t.Errorf("round %d: stream abnormal=%v batch=%v", i, reps[i].Abnormal, batchRes.Rounds[i].Abnormal)
+		reps[i].WindowEnd -= base
+	}
+	if sameDecisions(t, "streamer", reps, want) == 0 {
+		t.Fatal("test has no power: the oracle flagged no abnormal rounds")
+	}
+
+	batch := fresh()
+	if err := batch.WarmUp(his); err != nil {
+		t.Fatal(err)
+	}
+	res, err := batch.Detect(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecisions(t, "Detect", res.Rounds, want)
+	for i, rep := range res.Rounds {
+		if rep.Round != i {
+			t.Fatalf("Detect round %d reports Round %d", i, rep.Round)
 		}
 	}
 }
@@ -332,9 +349,24 @@ func TestDetectorErrors(t *testing.T) {
 	if _, err := det.Detect(short); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("short detect: %v", err)
 	}
-	win := mts.Zeros(12, 7) // wrong window length
-	if _, err := det.ProcessWindow(win); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("wrong window length: %v", err)
+	// One non-finite reading rejects the whole series before any round
+	// runs, the same rule Streamer.Push applies per column.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		series := synth(3, 3, 4, 400, nil, -1, -1)
+		series.Set(7, 250, bad)
+		if err := det.WarmUp(series); !errors.Is(err, ErrBadReading) {
+			t.Errorf("warm-up with %v: want ErrBadReading, got %v", bad, err)
+		}
+		res, err := det.Detect(series)
+		if !errors.Is(err, ErrBadReading) || res != nil {
+			t.Errorf("detect with %v: want ErrBadReading and no result, got %v", bad, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), "sensor 7 at time point 250") {
+			t.Errorf("detect with %v: error %v does not locate the reading", bad, err)
+		}
+	}
+	if det.Rounds() != 0 {
+		t.Errorf("rejected series advanced the detector %d rounds", det.Rounds())
 	}
 }
 
@@ -400,21 +432,5 @@ func TestHistoryAccessors(t *testing.T) {
 	}
 	if det.Config().K != 2 {
 		t.Error("Config accessor broken")
-	}
-}
-
-func BenchmarkDetectRound50Sensors(b *testing.B) {
-	test := synth(13, 5, 10, 2000, nil, -1, -1)
-	cfg := Config{Window: mts.Windowing{W: 100, S: 10}, K: 8, Tau: 0.4, Theta: 0.3, Eta: 3, SigmaFloor: 0.5, MinHistory: 8}
-	det, err := NewDetector(50, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	win, _ := cfg.Window.Window(test, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.ProcessWindow(win); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

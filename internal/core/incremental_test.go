@@ -40,19 +40,19 @@ func slice(t testing.TB, series *mts.MTS, from, to int) *mts.MTS {
 	return s
 }
 
-// detectRounds runs the exact per-round oracle, Detector.Detect, over series
-// with a fresh detector under cfg.
-func detectRounds(t *testing.T, cfg Config, series *mts.MTS) []RoundReport {
+// oracleRounds runs the batch oracle (BatchRounds) over series with a
+// fresh detector under cfg.
+func oracleRounds(t *testing.T, cfg Config, series *mts.MTS) []RoundReport {
 	t.Helper()
 	det, err := NewDetector(series.Sensors(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.Detect(series)
+	reps, err := BatchRounds(det, series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Rounds
+	return reps
 }
 
 // sameDecisions requires the streamed reports to make exactly the oracle's
@@ -61,14 +61,14 @@ func detectRounds(t *testing.T, cfg Config, series *mts.MTS) []RoundReport {
 func sameDecisions(t *testing.T, label string, got, want []RoundReport) int {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: streamer emitted %d rounds, Detect %d", label, len(got), len(want))
+		t.Fatalf("%s: streamer emitted %d rounds, oracle %d", label, len(got), len(want))
 	}
 	abnormal := 0
 	for i, w := range want {
 		g := got[i]
 		if g.Abnormal != w.Abnormal || g.Variations != w.Variations || g.WindowEnd != w.WindowEnd ||
 			!reflect.DeepEqual(g.Outliers, w.Outliers) {
-			t.Errorf("%s round %d: streamer {abnormal %v n_r %d end %d outliers %v}, Detect {abnormal %v n_r %d end %d outliers %v}",
+			t.Errorf("%s round %d: streamer {abnormal %v n_r %d end %d outliers %v}, oracle {abnormal %v n_r %d end %d outliers %v}",
 				label, i, g.Abnormal, g.Variations, g.WindowEnd, g.Outliers, w.Abnormal, w.Variations, w.WindowEnd, w.Outliers)
 		}
 		if w.Abnormal {
@@ -80,7 +80,8 @@ func sameDecisions(t *testing.T, label string, got, want []RoundReport) int {
 
 // TestIncrementalMatchesBatchDecisions is the headline equivalence test: on
 // a series with a planted correlation break, the streamer must flag exactly
-// the same abnormal rounds with exactly the same outlier sets as Detect.
+// the same abnormal rounds with exactly the same outlier sets as the batch
+// oracle.
 func TestIncrementalMatchesBatchDecisions(t *testing.T) {
 	series := synth(13, 3, 4, 500, []int{1, 6}, 200, 320)
 	det, err := NewDetector(12, incConfig(7)) // refresh often, off-cadence
@@ -88,8 +89,42 @@ func TestIncrementalMatchesBatchDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := pushAll(t, NewStreamer(det), series)
-	if sameDecisions(t, "synth", got, detectRounds(t, testConfig(), series)) == 0 {
-		t.Fatal("test has no power: Detect flagged no abnormal rounds")
+	if sameDecisions(t, "synth", got, oracleRounds(t, testConfig(), series)) == 0 {
+		t.Fatal("test has no power: the oracle flagged no abnormal rounds")
+	}
+}
+
+// TestIncrementalMatchesBatchTinyWindow pins what the streamer keeps at
+// windows of 15 columns or fewer, where the equivalence above does not
+// hold: SlidingCorr's running-sum correlations and PearsonMatrix's centred
+// ones differ in the last bits, and over so few points a near-tie between
+// two neighbours can go either way, moving a TSG edge and then a decision.
+// What stays is the round cadence: the same number of rounds, ending at the
+// same time points.
+func TestIncrementalMatchesBatchTinyWindow(t *testing.T) {
+	series := synth(19, 3, 4, 400, []int{1, 6}, 200, 260)
+	for _, wd := range []mts.Windowing{{W: 8, S: 1}, {W: 15, S: 2}} {
+		cfg := testConfig()
+		cfg.Window = wd
+		det, err := NewDetector(12, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pushAll(t, NewStreamer(det), series)
+		want := oracleRounds(t, cfg, series)
+		if len(got) != len(want) {
+			t.Fatalf("w=%d: streamer emitted %d rounds, oracle %d", wd.W, len(got), len(want))
+		}
+		differ := 0
+		for i := range want {
+			if got[i].WindowEnd != want[i].WindowEnd {
+				t.Fatalf("w=%d round %d: streamer window ends at %d, oracle at %d", wd.W, i, got[i].WindowEnd, want[i].WindowEnd)
+			}
+			if got[i].Abnormal != want[i].Abnormal || !reflect.DeepEqual(got[i].Outliers, want[i].Outliers) {
+				differ++
+			}
+		}
+		t.Logf("w=%d: %d of %d rounds decide differently", wd.W, differ, len(want))
 	}
 }
 
@@ -115,7 +150,7 @@ func TestIncrementalMatchesBatchOnSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := pushAll(t, NewStreamer(det), series)
-		sameDecisions(t, "simulator", got, detectRounds(t, cfg, series))
+		sameDecisions(t, "simulator", got, oracleRounds(t, cfg, series))
 	}
 }
 
@@ -262,42 +297,6 @@ func rewriteSnapshot(t testing.TB, snap []byte, edit func(*persistedStreamer)) *
 	return &out
 }
 
-// TestIncrementalSaveLoadRejectsAccMismatch: ApproxTSG streams rebuild every
-// round from the window and keep no correlation accumulator, so a snapshot
-// that carries one cannot belong to an ApproxTSG config and is refused.
-func TestIncrementalSaveLoadRejectsAccMismatch(t *testing.T) {
-	exact, err := NewDetector(12, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var withAcc bytes.Buffer
-	if err := NewStreamer(exact).SaveState(&withAcc); err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.ApproxTSG = true
-	approx, err := NewDetector(12, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var approxSnap, approxDet bytes.Buffer
-	if err := NewStreamer(approx).SaveState(&approxSnap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadStreamer(bytes.NewReader(approxSnap.Bytes())); err != nil {
-		t.Fatalf("accumulator-free ApproxTSG snapshot rejected: %v", err)
-	}
-	if err := approx.SaveState(&approxDet); err != nil {
-		t.Fatal(err)
-	}
-	forged := rewriteSnapshot(t, withAcc.Bytes(), func(st *persistedStreamer) {
-		st.Detector = approxDet.Bytes()
-	})
-	if _, err := LoadStreamer(forged); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("accumulator under an ApproxTSG config: err = %v, want ErrBadConfig", err)
-	}
-}
-
 // TestIncrementalFailedRoundRetry checks that a transient round failure on
 // the incremental path neither advances the detector nor desynchronizes the
 // correlation accumulator from the ring: the accumulator keeps sliding
@@ -363,12 +362,14 @@ func TestIncrementalFailedRoundRetry(t *testing.T) {
 	}
 }
 
-// TestLoadStreamerRebuildsAccumulator restores snapshots written when exact
-// configs could still stream by batch recompute — no accumulator, only the
-// ring — once while the first window is filling and once with a full ring
-// between rounds. The restored streamer must continue with Detect's
-// decisions. The detectors are warmed up so that no exact refresh falls on
-// the first streamed round and hides a wrong rebuild.
+// TestLoadStreamerRebuildsAccumulator restores snapshots that carry no
+// accumulator, only the ring: version 2, written when exact configs could
+// still stream by batch recompute, and version 4, written by a stream whose
+// config chose the retired HNSW-built TSG. Each is cut once while the first window
+// is filling and once with a full ring between rounds. The restored
+// streamer must continue with the uninterrupted run's decisions. The
+// detectors are warmed up so that no exact refresh falls on the first
+// streamed round and hides a wrong rebuild.
 func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 	his := synth(32, 3, 4, 200, nil, -1, -1) // 41 warm-up rounds
 	series := synth(33, 3, 4, 520, []int{2, 9}, 250, 360)
@@ -386,7 +387,11 @@ func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{17, 173} { // w=40: filling, then full mid-round
+	for _, c := range []struct{ version, cut int }{ // w=40: filling, then full mid-round
+		{streamerPersistFullSXY, 17}, {streamerPersistFullSXY, 173},
+		{streamerPersistVersion, 17}, {streamerPersistVersion, 173},
+	} {
+		cut := c.cut
 		det := warm()
 		base := det.Rounds() * det.Config().Window.S
 		sr := NewStreamer(det)
@@ -396,18 +401,18 @@ func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		old := rewriteSnapshot(t, snap.Bytes(), func(st *persistedStreamer) {
-			st.Version = streamerPersistFullSXY
+			st.Version = c.version
 			st.HasAcc, st.AccRef, st.AccSX, st.AccSXYBits, st.AccCount = false, nil, nil, nil, 0
 		})
 		restored, err := LoadStreamer(old)
 		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
+			t.Fatalf("version %d cut %d: %v", c.version, cut, err)
 		}
 		got = append(got, pushAll(t, restored, slice(t, series, cut, series.Len()))...)
 		for i := range got {
 			got[i].WindowEnd -= base // into Detect's series coordinates
 		}
-		if sameDecisions(t, fmt.Sprintf("cut %d", cut), got, want.Rounds) == 0 {
+		if sameDecisions(t, fmt.Sprintf("version %d cut %d", c.version, cut), got, want.Rounds) == 0 {
 			t.Fatal("test has no power: Detect flagged no abnormal rounds")
 		}
 	}

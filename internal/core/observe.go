@@ -7,8 +7,8 @@ import "time"
 // construction dominates on wide sensor arrays, Louvain on dense ones, and
 // the co-appearance advance is the cheap stateful tail.
 type StageTimings struct {
-	// TSGBuild is the time spent building the round's Time-Series Graph
-	// (exact correlation matrix or HNSW-approximate).
+	// TSGBuild is the time spent repairing the round's Time-Series Graph
+	// from the maintained correlations.
 	TSGBuild time.Duration
 	// Louvain is the community-detection time.
 	Louvain time.Duration
@@ -29,6 +29,6 @@ type RoundObserver interface {
 }
 
 // SetObserver attaches o to the detector (nil detaches). Set it before
-// WarmUp/Detect/ProcessWindow; changing it concurrently with detection is a
+// WarmUp, Detect or streaming; changing it concurrently with detection is a
 // race.
 func (d *Detector) SetObserver(o RoundObserver) { d.obs = o }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"cad/internal/mts"
@@ -42,12 +43,13 @@ type persistedStreamer struct {
 	// older snapshots, which is correct for them (they predate warmed-up
 	// streamer support for WindowEnd entirely).
 	Base int
-	// The incremental correlation accumulator, present iff the config is
-	// exact (not ApproxTSG). The drifted live sums are persisted verbatim —
-	// recomputing them on load would diverge from an uninterrupted run at
-	// the last few ulps, breaking bit-identical replay. Snapshots written
-	// when exact configs could still stream by batch recompute carry no
-	// accumulator; LoadStreamer rebuilds it from the ring.
+	// The incremental correlation accumulator. The drifted live sums are
+	// persisted verbatim — recomputing them on load would diverge from an
+	// uninterrupted run at the last few ulps, breaking bit-identical
+	// replay. Snapshots written without one — by streams that recomputed
+	// each round in batch or built their TSGs with the retired HNSW index
+	// — get it rebuilt from the ring by LoadStreamer, and so restore as
+	// exact streams.
 	HasAcc bool
 	AccRef []float64
 	AccSX  []float64
@@ -96,12 +98,10 @@ func (s *Streamer) SaveState(w io.Writer) error {
 		Started:  s.started,
 		Seq:      s.seq,
 		Base:     s.base,
+		HasAcc:   true,
 	}
 	var sxy []float64
-	if s.acc != nil {
-		st.HasAcc = true
-		st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
-	}
+	st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
 	if err := writeStreamerSnapshot(w, &st, s.ring, sxy); err != nil {
 		return fmt.Errorf("cad: save streamer: %w", err)
 	}
@@ -220,7 +220,7 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 	// Check the decoded shapes before NewStreamer sizes its buffers from
 	// the detector, so a corrupt header cannot demand a huge allocation.
 	n, w := det.Sensors(), det.cfg.Window.W
-	if err := st.check(n, w, det.cfg.ApproxTSG); err != nil {
+	if err := st.check(n, w); err != nil {
 		return nil, err
 	}
 	if st.Version == streamerPersistVersion {
@@ -277,7 +277,7 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 		if !s.acc.SetState(ref, sx, sxy, st.AccCount) {
 			return nil, fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
 		}
-	case s.acc != nil:
+	default:
 		s.rebuildAcc()
 	}
 	return s, nil
@@ -286,14 +286,10 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 // check validates the header against the detector's n sensors and window
 // w: every in-header array has its version's length and the ring cursors
 // lie inside the ring.
-func (st *persistedStreamer) check(n, w int, approx bool) error {
+func (st *persistedStreamer) check(n, w int) error {
 	if st.Version == streamerPersistVersion {
 		if st.Ring != nil || st.AccSXY != nil || st.AccSXYBits != nil {
 			return fmt.Errorf("%w: version-%d streamer snapshot header carries a ring or pair sums", ErrBadConfig, st.Version)
-		}
-		// Exact configs have carried an accumulator since before version 4.
-		if !st.HasAcc && !approx {
-			return fmt.Errorf("%w: version-%d streamer snapshot of an exact config carries no correlation accumulator", ErrBadConfig, st.Version)
 		}
 	} else {
 		if len(st.Ring) != n {
@@ -310,9 +306,6 @@ func (st *persistedStreamer) check(n, w int, approx bool) error {
 	}
 	if !st.HasAcc {
 		return nil
-	}
-	if approx {
-		return fmt.Errorf("%w: streamer snapshot carries a correlation accumulator, but its config sets ApproxTSG", ErrBadConfig)
 	}
 	if len(st.AccRef) != n || len(st.AccSX) != n || st.AccCount < 0 || st.AccCount > w {
 		return fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
@@ -331,14 +324,10 @@ func (st *persistedStreamer) check(n, w int, approx bool) error {
 }
 
 // finite reports whether every value is a finite number.
-func finite(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
-}
+func finite(xs []float64) bool { return !slices.ContainsFunc(xs, nonFinite) }
+
+// nonFinite reports whether x is NaN or ±Inf.
+func nonFinite(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
 
 // rebuildAcc derives the correlation accumulator of a snapshot that was
 // saved without one from the restored ring: a filling ring is pushed column

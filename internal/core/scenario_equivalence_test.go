@@ -1,11 +1,11 @@
 package core_test
 
 // Scenario-driven decision equivalence: incremental_test.go proves the
-// streamer ↔ Detect contract on synthetic and random-simulator data; this
-// suite re-proves it on every named corpus scenario — real failure shapes
-// (restart loops, saturation, staggered cascades, regime tears), not just
-// random anomaly mixes. It lives in package core_test because the corpus
-// itself imports core.
+// streamer ↔ batch oracle contract on synthetic and random-simulator data;
+// this suite re-proves it on every named corpus scenario — real failure
+// shapes (restart loops, saturation, staggered cascades, regime tears), not
+// just random anomaly mixes. It lives in package core_test because the
+// corpus itself imports core.
 
 import (
 	"reflect"
@@ -37,8 +37,9 @@ func replay(t *testing.T, inst *scenario.Instance, cfg core.Config) ([]core.Roun
 }
 
 // TestScenarioBatchIncrementalEquivalence streams every corpus scenario and
-// requires Detect's round decisions and anomaly records, the exact
-// per-round oracle.
+// requires the round decisions of the batch oracle (core.BatchRounds) and
+// the anomaly records they assemble into. Detect, the streamer behind a
+// series-relative wrapper, must return the same records.
 func TestScenarioBatchIncrementalEquivalence(t *testing.T) {
 	cfg := scenario.BaseConfig()
 	cfg.RefreshEvery = 7 // off the round cadence on purpose
@@ -51,33 +52,50 @@ func TestScenarioBatchIncrementalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			det, err := core.NewDetector(inst.Sensors, cfg)
+			oracle, err := core.NewDetector(inst.Sensors, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := det.Detect(inst.Series)
+			want, err := core.BatchRounds(oracle, inst.Series)
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantTr := core.NewTracker(cfg)
+			for _, rep := range want {
+				wantTr.Push(rep)
+			}
+			wantTr.Flush()
+			wantAnoms := wantTr.Drain()
 			reps, anoms := replay(t, inst, cfg)
 
-			if len(reps) != len(want.Rounds) {
-				t.Fatalf("streamer emitted %d rounds, Detect %d", len(reps), len(want.Rounds))
+			if len(reps) != len(want) {
+				t.Fatalf("streamer emitted %d rounds, oracle %d", len(reps), len(want))
 			}
-			for i, w := range want.Rounds {
+			for i, w := range want {
 				g := reps[i]
 				if g.Abnormal != w.Abnormal || g.Variations != w.Variations || g.WindowEnd != w.WindowEnd ||
 					!reflect.DeepEqual(g.Outliers, w.Outliers) {
-					t.Errorf("round %d: streamer %+v, Detect %+v", i, g, w)
+					t.Errorf("round %d: streamer %+v, oracle %+v", i, g, w)
 				}
 				if w.Abnormal {
 					anyAbnormal = true
 				}
 			}
 			// Identical round decisions must assemble into identical
-			// anomaly records.
-			if !reflect.DeepEqual(anoms, want.Anomalies) {
-				t.Errorf("anomalies differ:\nstreamer %+v\nDetect   %+v", anoms, want.Anomalies)
+			// anomaly records, through the streamer and through Detect.
+			if !reflect.DeepEqual(anoms, wantAnoms) {
+				t.Errorf("anomalies differ:\nstreamer %+v\noracle   %+v", anoms, wantAnoms)
+			}
+			det, err := core.NewDetector(inst.Sensors, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := det.Detect(inst.Series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Anomalies, wantAnoms) {
+				t.Errorf("anomalies differ:\nDetect %+v\noracle %+v", res.Anomalies, wantAnoms)
 			}
 		})
 	}

@@ -11,12 +11,12 @@ import (
 
 // Streamer feeds a Detector one time point at a time, emitting a RoundReport
 // whenever a full step of new columns has arrived (§IV-F "Generalization":
-// when a new round of data arrives, repeat Lines 6–11 of Algorithm 2). It
-// maintains the trailing window internally in a ring buffer, so callers only
-// push columns. Exact configs also maintain the window's correlation matrix
-// with an O(n²) rank-one update per column (stats.SlidingCorr), so a round
-// repairs the TSG instead of recomputing it at O(n²·w); ApproxTSG configs
-// materialize the window once per completed round and rebuild.
+// when a new round of data arrives, repeat Lines 6–11 of Algorithm 2). It is
+// the only round pipeline: Detector.Detect and WarmUp push their series
+// through one too. It maintains the trailing window internally in a ring
+// buffer, so callers only push columns, and the window's correlations with
+// an O(n²) rank-one update per column (stats.SlidingCorr), so a round
+// repairs the TSG instead of recomputing it at O(n²·w).
 //
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
@@ -27,10 +27,6 @@ type Streamer struct {
 	ring   [][]float64
 	pos    int
 	filled int
-	// win is the scratch window the ring is unrolled into for each
-	// ApproxTSG round, allocated on first use and reused after;
-	// ProcessWindow does not retain it. Exact rounds never need it.
-	win *mts.MTS
 	// pending counts columns received since the last *successful* round (or
 	// since start, for the first round).
 	pending int
@@ -44,10 +40,9 @@ type Streamer struct {
 	// WindowEnd stamping: a detector warmed up on R rounds starts the
 	// stream R·S columns "into" its own timeline.
 	base int
-	// acc maintains the sliding correlation sums of the incremental path,
-	// which every exact config runs; nil under ApproxTSG, whose rounds
-	// rebuild the TSG from the materialized window. oldCol is scratch
-	// holding the column evicted from the ring by the current Push.
+	// acc maintains the window's sliding correlation sums. oldCol is
+	// scratch holding the column evicted from the ring by the current
+	// Push.
 	acc          *stats.SlidingCorr
 	oldCol       []float64
 	refreshEvery int
@@ -66,18 +61,13 @@ func NewStreamer(det *Detector) *Streamer {
 		ring[i] = backing[i*w : (i+1)*w]
 	}
 	s := &Streamer{
-		det:  det,
-		ring: ring,
-		base: det.round * det.cfg.Window.S,
+		det:          det,
+		ring:         ring,
+		base:         det.round * det.cfg.Window.S,
+		acc:          stats.NewSlidingCorr(n, w),
+		oldCol:       make([]float64, n),
+		refreshEvery: det.cfg.RefreshEvery,
 	}
-	if det.cfg.ApproxTSG {
-		// HNSW has no incremental form: each round rebuilds from the window.
-		s.round = func() (RoundReport, error) { return det.ProcessWindow(s.window()) }
-		return s
-	}
-	s.acc = stats.NewSlidingCorr(n, w)
-	s.oldCol = make([]float64, n)
-	s.refreshEvery = det.cfg.RefreshEvery
 	if s.refreshEvery <= 0 {
 		s.refreshEvery = 64
 	}
@@ -118,7 +108,7 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	}
 	w, step := s.det.cfg.Window.W, s.det.cfg.Window.S
 	wasFull := s.filled == w
-	if s.acc != nil && wasFull {
+	if wasFull {
 		// Capture the evicted column before it is overwritten; the
 		// accumulator needs it to subtract the leaving contribution.
 		for i := range s.oldCol {
@@ -134,12 +124,10 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	}
 	s.pending++
 	s.seq++
-	if s.acc != nil {
-		if wasFull {
-			s.acc.Slide(col, s.oldCol)
-		} else {
-			s.acc.Push(col)
-		}
+	if wasFull {
+		s.acc.Slide(col, s.oldCol)
+	} else {
+		s.acc.Push(col)
 	}
 	need := w
 	if s.started {
@@ -163,10 +151,9 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	return rep, true, nil
 }
 
-// processCorr runs one round on the incremental path: the maintained
-// correlations go straight from the accumulator's packed triangle to the
-// detector's TSG repair, one derived row at a time, so no n×n matrix is
-// built.
+// processCorr runs one round: the maintained correlations go straight from
+// the accumulator's packed triangle to the detector's TSG repair, one
+// derived row at a time, so no n×n matrix is built.
 func (s *Streamer) processCorr() (RoundReport, error) {
 	// Periodic exact refresh bounds the accumulator's floating-point drift.
 	// The cadence keys off the persisted round counter, so a restored
@@ -191,21 +178,6 @@ func (s *Streamer) chronological() [][]float64 {
 		s.pos = 0
 	}
 	return s.ring
-}
-
-// window unrolls the ring into s.win in chronological order and returns it.
-// Only valid once the ring is full, when pos is the oldest slot.
-func (s *Streamer) window() *mts.MTS {
-	w := s.det.cfg.Window.W
-	if s.win == nil {
-		s.win = mts.Zeros(len(s.ring), w)
-	}
-	for i, r := range s.ring {
-		dst := s.win.Row(i)
-		copy(dst, r[s.pos:])
-		copy(dst[w-s.pos:], r[:s.pos])
-	}
-	return s.win
 }
 
 // PushSeries pushes every column of t in order and returns the reports of

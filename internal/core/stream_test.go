@@ -113,28 +113,23 @@ func TestStreamerFailedFirstRoundKeepsWarming(t *testing.T) {
 	}
 }
 
-// TestStreamerRingMatchesBatchExactly pins both streaming paths to Detect
-// bit for bit: every field of every report must match, whether the round
-// comes from the maintained correlations (exact configs) or from the ring
-// unrolled into a window (ApproxTSG).
+// TestStreamerRingMatchesBatchExactly pins the streamer to the batch
+// oracle bit for bit: every field of every report must match, the n_r
+// score included.
 func TestStreamerRingMatchesBatchExactly(t *testing.T) {
 	series := synth(13, 3, 4, 500, []int{1, 6}, 200, 320)
-	for _, approx := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.ApproxTSG, cfg.ApproxSeed = approx, 5
-		want := detectRounds(t, cfg, series)
-		det, err := NewDetector(12, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := pushAll(t, NewStreamer(det), series)
-		if len(got) != len(want) {
-			t.Fatalf("approx=%v: streamer emitted %d rounds, Detect %d", approx, len(got), len(want))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("approx=%v round %d differs:\nstream %+v\nDetect %+v", approx, i, got[i], want[i])
-			}
+	want := oracleRounds(t, testConfig(), series)
+	det, err := NewDetector(12, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pushAll(t, NewStreamer(det), series)
+	if len(got) != len(want) {
+		t.Fatalf("streamer emitted %d rounds, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("round %d differs:\nstream %+v\noracle %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -188,7 +183,7 @@ func TestStreamerInvalidPushLeavesStateIntact(t *testing.T) {
 }
 
 // TestStreamerRetryKeepsTimeAttribution is the regression test for the
-// pointSpan drift after failed-round retries: each retry slides the window
+// time-attribution drift after failed-round retries: each retry slides the window
 // one extra column, so an anomaly's time span must follow the actual
 // consumed columns (RoundReport.WindowEnd), not the nominal cadence
 // Bounds(round). Before the fix the Tracker attributed anomalies to ticks

@@ -6,10 +6,10 @@ import (
 	"cad/internal/mts"
 )
 
-// Tracker assembles streaming RoundReports into Anomaly records with the
-// same grouping rule batch Detect uses: consecutive abnormal rounds form
-// one anomaly, closed by the first normal round. It lets Streamer users
-// consume whole anomalies instead of raw per-round alarms.
+// Tracker assembles streaming RoundReports into Anomaly records:
+// consecutive abnormal rounds form one anomaly, closed by the first normal
+// round. It lets Streamer users consume whole anomalies instead of raw
+// per-round alarms, and Detect assembles its result with one.
 //
 // The zero value is not usable; construct with NewTracker using the same
 // config as the detector feeding it.
@@ -91,7 +91,7 @@ func (tr *Tracker) finish() Anomaly {
 	for i, v := range a.Sensors {
 		a.Onsets[i] = tr.onsets[v]
 	}
-	// Mirror Detector.pointSpan: each abnormal round implicates the final
+	// As in Detect's point labels, each abnormal round implicates the final
 	// step of its window, so the anomaly spans from the first round's new
 	// points to the last round's window end. Prefer the actual window ends
 	// the reports carried; fall back to the nominal cadence for reports

@@ -47,7 +47,6 @@ func (s *Suite) Ablation() (*AblationResult, error) {
 		{name: "cumulative RC", mut: func(c *core.Config) { c.RCMode = core.RCCumulative }},
 		{name: "exponential RC", mut: func(c *core.Config) { c.RCMode = core.RCExponential; c.RCAlpha = 0.2 }},
 		{name: "bounded history", mut: func(c *core.Config) { c.HistoryHorizon = 64 }},
-		{name: "approx TSG", mut: func(c *core.Config) { c.ApproxTSG, c.ApproxSeed = true, 1 }},
 	}
 	for _, v := range variants {
 		cfg := base

@@ -271,7 +271,7 @@ func TestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ab.Variants) != 8 || len(ab.F1PA) != 8 {
+	if len(ab.Variants) != 7 || len(ab.F1PA) != 7 {
 		t.Fatalf("ablation variants: %v", ab.Variants)
 	}
 	if out := ab.Render(); !strings.Contains(out, "full CAD") {

@@ -153,13 +153,6 @@ func CADConfigFor(ds *simulator.Dataset) core.Config {
 	if tau > cfg.Tau {
 		cfg.Tau = math.Min(tau, 0.75)
 	}
-	// Wide sensor arrays build their TSGs through the HNSW index — the
-	// paper's §IV-F subquadratic-TPR claim rests on exactly this (it cites
-	// HNSW for the O(n log n) k-NN construction).
-	if ds.Test.Sensors() >= 500 {
-		cfg.ApproxTSG = true
-		cfg.ApproxSeed = 1
-	}
 	return cfg
 }
 

@@ -132,10 +132,10 @@ func (r *ReplayResult) OrderOK() bool {
 // with staggered onsets — stream i is the same workload hit i·Stagger
 // later, the classic cascading-fleet shape where LeadLag's answer is
 // known by construction. Each abnormal round contributes one alarm
-// event per implicated time point (the round's pointSpan — the same
-// per-point granularity Observer-style CUSUM detectors alarm at), so
-// the dedup stage faces the realistic signal flood rather than
-// pre-collapsed rounds.
+// event per implicated time point (the final step of the round's window,
+// as in Detect's point labels — the same per-point granularity
+// Observer-style CUSUM detectors alarm at), so the dedup stage faces the
+// realistic signal flood rather than pre-collapsed rounds.
 func Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	cfg = cfg.withDefaults()
 	fleetCfg := cfg.Fleet

@@ -45,8 +45,6 @@ func Variants() []ConfigVariant {
 	base := BaseConfig()
 	inc := base
 	inc.RefreshEvery = 64
-	approx := base
-	approx.ApproxTSG, approx.ApproxSeed = true, 1
 	wide := base
 	wide.Window = mts.Windowing{W: 96, S: 6}
 	cum := base
@@ -55,7 +53,6 @@ func Variants() []ConfigVariant {
 	xi.DisableVariationRule, xi.FixedXi = true, 3
 	return []ConfigVariant{
 		{Name: "incremental", Summary: "exact streaming path, plateau-calibrated defaults (w=64 s=4 k=10 τ=0.4 θ=0.17 η=3): rank-one correlation, in-place TSG repair, warm Louvain, exact refresh every 64 rounds", Config: inc},
-		{Name: "approx-tsg", Summary: "HNSW approximate TSG (Config.ApproxTSG, pinned seed)", Config: approx},
 		{Name: "wide-window", Summary: "wider, coarser windowing (w=96 s=6)", Config: wide},
 		{Name: "cumulative-rc", Summary: "paper-literal cumulative RC accumulation (Def. 6)", Config: cum},
 		{Name: "fixed-xi", Summary: "fixed ξ=3 abnormal rule instead of the 3σ variation rule", Config: xi},
@@ -150,8 +147,8 @@ func Evaluate(inst *Instance, cfg core.Config) (Cell, []bool, error) {
 		tr.Push(rep)
 		if rep.Abnormal {
 			cell.AlarmRounds++
-			// Mirror Detector.pointSpan: an abnormal round implicates the
-			// final step's worth of its window.
+			// Mirror Detect's point labels: an abnormal round implicates
+			// the final step's worth of its window.
 			from := rep.WindowEnd - cfg.Window.S
 			if from < 0 {
 				from = 0

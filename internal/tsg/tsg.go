@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"cad/internal/mts"
-	"cad/internal/stats"
 )
 
 // ErrBadParams reports an invalid builder configuration.
@@ -276,20 +273,6 @@ func (b Builder) Validate(n int) error {
 	return nil
 }
 
-// Build converts one MTS window into a TSG: an exact k-NN graph under
-// absolute Pearson correlation, pruned at τ. Cost is O(n²·w + n²·log k).
-func (b Builder) Build(window *mts.MTS) (*Graph, error) {
-	n := window.Sensors()
-	if err := b.Validate(n); err != nil {
-		return nil, err
-	}
-	corr, err := stats.PearsonMatrix(window.Rows())
-	if err != nil {
-		return nil, fmt.Errorf("tsg: correlation: %w", err)
-	}
-	return b.fromCorrelation(corr), nil
-}
-
 // FromCorrelation builds a TSG directly from a precomputed correlation
 // matrix. The matrix must be square and symmetric.
 func (b Builder) FromCorrelation(corr [][]float64) (*Graph, error) {
@@ -312,26 +295,4 @@ func (b Builder) fromCorrelation(corr [][]float64) *Graph {
 	inc := newIncremental(b, len(corr))
 	inc.Repair(Dense(corr))
 	return inc.g
-}
-
-// BuildSequence converts every round of the windowed MTS into a TSG,
-// returning R graphs.
-func (b Builder) BuildSequence(m *mts.MTS, wd mts.Windowing) ([]*Graph, error) {
-	R := wd.Rounds(m.Len())
-	if R == 0 {
-		return nil, fmt.Errorf("tsg: %w", wd.Validate(m.Len()))
-	}
-	out := make([]*Graph, R)
-	for r := 0; r < R; r++ {
-		win, err := wd.Window(m, r)
-		if err != nil {
-			return nil, err
-		}
-		g, err := b.Build(win)
-		if err != nil {
-			return nil, fmt.Errorf("tsg: round %d: %w", r, err)
-		}
-		out[r] = g
-	}
-	return out, nil
 }

@@ -9,7 +9,18 @@ import (
 	"testing/quick"
 
 	"cad/internal/mts"
+	"cad/internal/stats"
 )
+
+// build converts one window into a TSG the way the equivalence oracle does:
+// a two-pass Pearson matrix, then FromCorrelation.
+func build(b Builder, window *mts.MTS) (*Graph, error) {
+	corr, err := stats.PearsonMatrix(window.Rows())
+	if err != nil {
+		return nil, err
+	}
+	return b.FromCorrelation(corr)
+}
 
 func TestGraphBasics(t *testing.T) {
 	if g := FromEdges(4, nil); g.N() != 4 || g.Edges() != 0 {
@@ -176,7 +187,7 @@ func correlatedMTS(t *testing.T) *mts.MTS {
 
 func TestBuildGroups(t *testing.T) {
 	m := correlatedMTS(t)
-	g, err := Builder{K: 2, Tau: 0.5}.Build(m)
+	g, err := build(Builder{K: 2, Tau: 0.5}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +224,7 @@ func TestBuildTauPrunesAll(t *testing.T) {
 		}
 	}
 	m, _ := mts.New(rows, nil)
-	g, err := Builder{K: 2, Tau: 0.99}.Build(m)
+	g, err := build(Builder{K: 2, Tau: 0.99}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +276,7 @@ func TestBuildProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := Builder{K: k, Tau: tau}.Build(m)
+		g, err := build(Builder{K: k, Tau: tau}, m)
 		if err != nil {
 			return false
 		}
@@ -294,27 +305,6 @@ func TestBuildProperties(t *testing.T) {
 	}
 }
 
-func TestBuildSequence(t *testing.T) {
-	m := correlatedMTS(t)
-	wd := mts.Windowing{W: 16, S: 8}
-	graphs, err := Builder{K: 2, Tau: 0.3}.BuildSequence(m, wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(graphs) != wd.Rounds(m.Len()) {
-		t.Fatalf("got %d graphs, want %d", len(graphs), wd.Rounds(m.Len()))
-	}
-	for r, g := range graphs {
-		if g.N() != 6 {
-			t.Errorf("round %d: n = %d", r, g.N())
-		}
-	}
-	// Invalid windowing propagates an error.
-	if _, err := (Builder{K: 2, Tau: 0.3}).BuildSequence(m, mts.Windowing{W: 1000, S: 1}); err == nil {
-		t.Error("expected windowing error")
-	}
-}
-
 func TestPaperExample2(t *testing.T) {
 	// §III Example 1/2: four sensors, s4 drops in the final window. In the
 	// final window's TSG, s4's correlation structure must differ from the
@@ -327,11 +317,18 @@ func TestPaperExample2(t *testing.T) {
 	}
 	m, _ := mts.New(rows, nil)
 	wd := mts.Windowing{W: 4, S: 2}
-	graphs, err := Builder{K: 2, Tau: 0.5}.BuildSequence(m, wd)
-	if err != nil {
-		t.Fatal(err)
+	round := func(r int) *Graph {
+		win, err := wd.Window(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := build(Builder{K: 2, Tau: 0.5}, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	first, last := graphs[0], graphs[len(graphs)-1]
+	first, last := round(0), round(wd.Rounds(m.Len())-1)
 	// Early: s4 (index 3) strongly correlated with s1/s2.
 	if w, ok := first.Weight(3, 0); !ok || w < 0.9 {
 		t.Errorf("early round: s4~s1 weight %v,%v; want strong", w, ok)
@@ -356,7 +353,7 @@ func BenchmarkBuild100Sensors(b *testing.B) {
 	bu := Builder{K: 10, Tau: 0.3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bu.Build(m); err != nil {
+		if _, err := build(bu, m); err != nil {
 			b.Fatal(err)
 		}
 	}
