@@ -115,16 +115,24 @@ func (s *Service) handleSinks(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxSinkBytes bounds a sink registration body: a name, a type, a URL or
+// path, a secret and a retry policy.
+const maxSinkBytes = 64 << 10
+
 func (s *Service) handleCreateSink(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSinkBytes))
 	dec.DisallowUnknownFields()
 	var req CreateSinkRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if isBodyTooLarge(err) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "sink definition exceeds %d bytes", maxSinkBytes)
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
 		return
 	}
 	var sink alert.Sink
-	var err error
 	switch req.Type {
 	case "webhook":
 		sink, err = alert.NewWebhookSink(req.URL, []byte(req.Secret), 0)

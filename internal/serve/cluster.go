@@ -15,8 +15,10 @@ import (
 	"cad/internal/manager"
 )
 
-// maxHandoffBytes bounds one migration bundle (snapshot + WAL tail).
-const maxHandoffBytes = 256 << 20
+// maxHandoffBytes bounds one migration bundle (snapshot + WAL tail); a
+// longer body is answered 413 body_too_large. A variable so tests can
+// lower it.
+var maxHandoffBytes int64 = 256 << 20
 
 // maxCreatePeek bounds the body buffered by the router to learn a create
 // request's stream id; matches the practical size of a create payload.
@@ -194,7 +196,11 @@ func (s *Service) handleClusterHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "cluster mode is not enabled")
 		return
 	}
-	exp, err := cluster.DecodeHandoff(io.LimitReader(r.Body, maxHandoffBytes))
+	exp, err := cluster.DecodeHandoff(http.MaxBytesReader(w, r.Body, maxHandoffBytes))
+	if isBodyTooLarge(err) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "handoff bundle exceeds %d bytes", maxHandoffBytes)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadHandoff, "%v", err)
 		return

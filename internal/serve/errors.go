@@ -35,6 +35,9 @@ const (
 	CodeSinkNotFound = "sink_not_found"
 	// CodeBatchTooLarge reports an NDJSON ingest batch over the column cap.
 	CodeBatchTooLarge = "batch_too_large"
+	// CodeBodyTooLarge reports a request body over its route's byte limit
+	// (413).
+	CodeBodyTooLarge = "body_too_large"
 	// CodeStreamNotFound reports an unknown stream id.
 	CodeStreamNotFound = "stream_not_found"
 	// CodeIncidentNotFound reports an unknown incident id.
@@ -81,6 +84,13 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})
+}
+
+// isBodyTooLarge reports whether err comes from reading past an
+// http.MaxBytesReader limit.
+func isBodyTooLarge(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
 }
 
 // writeStreamError maps manager- and core-layer errors onto the envelope

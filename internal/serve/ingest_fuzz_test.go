@@ -15,7 +15,7 @@ import (
 var errorCodes = map[string]bool{
 	CodeBadJSON: true, CodeBadReadings: true, CodeBadCSV: true, CodeBadConfig: true,
 	CodeBadQuery: true, CodeBadStreamID: true, CodeBadSink: true, CodeSinkExists: true,
-	CodeSinkNotFound: true, CodeBatchTooLarge: true, CodeStreamNotFound: true,
+	CodeSinkNotFound: true, CodeBatchTooLarge: true, CodeBodyTooLarge: true, CodeStreamNotFound: true,
 	CodeIncidentNotFound: true, CodeStreamExists: true, CodeCapacityExhausted: true,
 	CodeClusterUnavailable: true, CodeBadHandoff: true, CodeMethodNotAllowed: true,
 	CodeNotFound: true, CodeInternal: true,

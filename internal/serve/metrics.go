@@ -5,8 +5,9 @@ import (
 )
 
 // ingestRejected counts columns the API boundary refused, by stream and
-// reason: "nonfinite" (NaN/Inf readings), "badjson" (undecodable body), and
-// "stream" (the streamer itself refused the column, e.g. wrong arity).
+// reason: "nonfinite" (NaN/Inf readings), "null" (a JSON null reading),
+// "badjson" (undecodable body), and "stream" (the streamer itself refused
+// the column, e.g. wrong arity).
 // Cardinality is bounded by the manager's stream capacity. The per-stream
 // detector pipeline metrics live in internal/manager, attached when a
 // stream is created or restored.
@@ -24,4 +25,11 @@ func (s *Service) legacyRequests(route string) *obs.Counter {
 	return s.reg.Counter("cad_legacy_requests_total",
 		"Requests served by deprecated unversioned routes, by route.",
 		obs.Label{Name: "route", Value: route})
+}
+
+// decodeBuckets spans an ingest body decode, from one narrow column
+// (about 10µs) to a full warm-up batch of a wide stream.
+var decodeBuckets = []float64{
+	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1,
 }

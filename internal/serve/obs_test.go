@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"cad/internal/alert"
+	"cad/internal/cluster"
 	"cad/internal/core"
 	"cad/internal/mts"
 	"cad/internal/obs"
@@ -54,6 +58,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE cad_streams_resident gauge",
 		`http_requests_total{code="200",method="POST",path="/ingest"} 120`,
 		`http_request_duration_seconds_count{path="/ingest"} 120`,
+		"cad_ingest_decode_seconds_count 120",
 		"# TYPE http_requests_in_flight gauge",
 	} {
 		if !strings.Contains(out, want) {
@@ -113,6 +118,105 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 	if want := `cad_ingest_rejected_total{reason="badjson",stream="default"} 3`; !strings.Contains(out, want) {
 		t.Errorf("/metrics missing %q:\n%s", want, out)
 	}
+}
+
+// TestIngestRejectsNullReadings: encoding/json would read a null reading
+// as 0 (or, under a repeated key, as the earlier value), so a collector's
+// missing sample would enter the correlation window as a real reading. The
+// whole request is refused, naming column and sensor, on the scanner's
+// path and after a fallback to encoding/json.
+func TestIngestRejectsNullReadings(t *testing.T) {
+	det := testDetector(t)
+	svc := New(det, 10)
+	h := svc.Handler()
+
+	for body, want := range map[string]string{
+		`{"readings":[0,0,null,0,0,0,0,0]}`:                                     "column 0: null reading for sensor 2",
+		"{\"readings\":[0,0,0,0,0,0,0,0]}\n{\"readings\":[0,0,0,0,0,null,0,0]}": "column 1: null reading for sensor 5",
+		`{"Readings":[null,0,0,0,0,0,0,0]}`:                                     "column 0: null reading for sensor 0",
+		`{"x":0,"readings":[0,0,0,0,0,0,0,0]}{"readings":[0,null,0,0,0,0,0,0]}`: "column 1: null reading for sensor 1",
+		`{"readings":[0,0,0,0,0,0,0,0],"readings":[0,0,0,null,0,0,0,0]}`:        "column 0: null reading for sensor 3",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+		wantEnvelope(t, rec, http.StatusBadRequest, CodeBadReadings)
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: error should say %q: %s", body, want, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/status", nil))
+	var st Status
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Ticks != 0 {
+		t.Errorf("ticks = %d after only rejected columns, want 0", st.Ticks)
+	}
+	out := scrapeMetrics(t, h)
+	if want := `cad_ingest_rejected_total{reason="null",stream="default"} 5`; !strings.Contains(out, want) {
+		t.Errorf("/metrics missing %q:\n%s", want, out)
+	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBodyTooLarge: the ingest, sink and handoff routes read at most their
+// byte limit of a body and answer 413 body_too_large past it.
+func TestBodyTooLarge(t *testing.T) {
+	svc, _ := newAlertService(t, alert.Options{})
+	h := svc.Handler()
+
+	// A valid column padded past the limit: the decoder reads the padding
+	// without holding it, and nothing is ingested.
+	body := io.MultiReader(strings.NewReader(`{"readings":[0,0,0,0,0,0,0,0]}`),
+		io.LimitReader(spaces{}, maxIngestBytes))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", body))
+	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
+	if st, err := svc.mgr.Status(DefaultStream); err != nil || st.Ticks != 0 {
+		t.Errorf("ticks = %d (%v) after an oversize body, want 0", st.Ticks, err)
+	}
+	// At the limit the same body is ingested.
+	body = io.MultiReader(strings.NewReader(`{"readings":[0,0,0,0,0,0,0,0]}`),
+		io.LimitReader(spaces{}, maxIngestBytes-30))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", body))
+	if rec.Code != http.StatusOK {
+		t.Errorf("body at the limit: status %d: %s", rec.Code, rec.Body)
+	}
+
+	sink := `{"name":"` + strings.Repeat("x", maxSinkBytes) + `","type":"slog"}`
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sinks", strings.NewReader(sink)))
+	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
+
+	cl, err := cluster.New(cluster.Config{Self: "a", Advertise: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.cluster = cl
+	exp, err := svc.mgr.Export(DefaultStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle bytes.Buffer
+	if err := gob.NewEncoder(&bundle).Encode(&exp); err != nil {
+		t.Fatal(err)
+	}
+	defer func(n int64) { maxHandoffBytes = n }(maxHandoffBytes)
+	maxHandoffBytes = int64(bundle.Len() / 2)
+	rec = httptest.NewRecorder()
+	svc.handleClusterHandoff(rec, httptest.NewRequest(http.MethodPost, cluster.HandoffPath, &bundle))
+	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
 }
 
 func TestDetectRejectsNonFiniteCSV(t *testing.T) {

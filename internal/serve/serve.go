@@ -67,9 +67,9 @@
 //
 // with stable machine-readable codes (bad_json, bad_readings, bad_csv,
 // bad_config, bad_query, bad_stream_id, bad_sink, batch_too_large,
-// stream_not_found, stream_exists, incident_not_found, sink_exists,
-// sink_not_found, capacity_exhausted, cluster_unavailable, bad_handoff,
-// method_not_allowed, not_found, internal). Listing routes share one ?limit=/?offset= contract (see
+// body_too_large, stream_not_found, stream_exists, incident_not_found,
+// sink_exists, sink_not_found, capacity_exhausted, cluster_unavailable,
+// bad_handoff, method_not_allowed, not_found, internal). Listing routes share one ?limit=/?offset= contract (see
 // parsePage): limit must be positive when present, offset non-negative,
 // and paging past the end yields an empty page.
 //
@@ -78,9 +78,11 @@
 // evicted — its full streaming state (detector, in-flight window, tracker,
 // alarm history) snapshotted to disk — and transparently restored on the
 // next access, resuming mid-window with bit-identical round reports and no
-// repeated warm-up. Ingested readings must be finite; a column containing
-// NaN or ±Inf is rejected with 400 before it can poison the Pearson
-// correlations of the following rounds.
+// repeated warm-up. Ingested readings must be finite and present; a column
+// containing NaN, ±Inf or a JSON null is rejected with 400 before it can
+// poison the Pearson correlations of the following rounds. Ingest, sink
+// and handoff bodies are bounded in bytes (413 body_too_large past the
+// bound); DecodeColumns reads ingest bodies.
 //
 // Every handler is wrapped in obs.Middleware, so the /metrics endpoint
 // exports per-endpoint request counts (http_requests_total), latencies
@@ -90,18 +92,19 @@
 // cad_alarms_total, cad_round_variations, cad_history_mu,
 // cad_history_sigma (all labeled {stream}), the registry metrics
 // cad_streams_resident, cad_stream_evictions_total,
-// cad_stream_restores_total, cad_stream_snapshot_errors_total, and
-// cad_ingest_rejected_total{stream,reason}.
+// cad_stream_restores_total, cad_stream_snapshot_errors_total,
+// cad_ingest_rejected_total{stream,reason}, and the route-level ingest body
+// decode time cad_ingest_decode_seconds.
 package serve
 
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"strings"
+	"time"
 
 	"cad/internal/alert"
 	"cad/internal/cluster"
@@ -137,6 +140,8 @@ type Service struct {
 	// route to their ring owner, collection reads scatter-gather, and the
 	// /v1/cluster routes come alive.
 	cluster *cluster.Cluster
+	// decodeSeconds times the ingest body decode of every ingest route.
+	decodeSeconds *obs.Histogram
 }
 
 // Options configures optional service dependencies.
@@ -195,7 +200,10 @@ func NewWithOptions(det *core.Detector, o Options) *Service {
 	if fl == nil {
 		fl = mgr.Fleet()
 	}
-	return &Service{mgr: mgr, reg: mgr.Registry(), logger: o.Logger, alerts: o.Alerts, fleet: fl, cluster: o.Cluster}
+	reg := mgr.Registry()
+	return &Service{mgr: mgr, reg: reg, logger: o.Logger, alerts: o.Alerts, fleet: fl, cluster: o.Cluster,
+		decodeSeconds: reg.Histogram("cad_ingest_decode_seconds",
+			"Time to read and decode one ingest request body, over every stream.", decodeBuckets)}
 }
 
 // Registry returns the metrics registry the service reports into.
@@ -561,26 +569,26 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request, id string
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	var cols [][]float64
-	for {
-		var req IngestRequest
-		err := dec.Decode(&req)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			s.ingestRejected(id, "badjson").Inc()
-			writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON at column %d: %v", len(cols), err)
-			return
-		}
-		if len(cols) >= maxBatchColumns {
-			writeError(w, http.StatusBadRequest, CodeBatchTooLarge, "batch exceeds %d columns", maxBatchColumns)
-			return
-		}
-		cols = append(cols, req.Readings)
-	}
-	if len(cols) == 0 {
+	start := time.Now()
+	cols, err := DecodeColumns(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	s.decodeSeconds.Observe(time.Since(start).Seconds())
+	var colErr *ColumnError
+	switch {
+	case isBodyTooLarge(err):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "body exceeds %d bytes", maxIngestBytes)
+		return
+	case errors.Is(err, ErrBatchTooLarge):
+		writeError(w, http.StatusBadRequest, CodeBatchTooLarge, "%v", err)
+		return
+	case errors.As(err, &colErr) && colErr.Err == nil:
+		s.ingestRejected(id, "null").Inc()
+		writeError(w, http.StatusBadRequest, CodeBadReadings, "%v", err)
+		return
+	case err != nil:
+		s.ingestRejected(id, "badjson").Inc()
+		writeError(w, http.StatusBadRequest, CodeBadJSON, "%v", err)
+		return
+	case len(cols) == 0:
 		s.ingestRejected(id, "badjson").Inc()
 		writeError(w, http.StatusBadRequest, CodeBadJSON, "empty body: want a JSON column or an NDJSON batch")
 		return
