@@ -3,7 +3,7 @@ GO ?= go
 # ci is the tier-1 gate: formatting, vet, static analysis, build (the bench
 # module included), the full test suite under the race detector (the serve
 # concurrency tests only mean something with -race), the fault-injection
-# suite, the pinned-seed crash-recovery equivalence run, the alert-delivery
+# suite, the pinned-seed fault schedule, the alert-delivery
 # suite, a short run of every fuzz target, the scenario-corpus quality gate, the fleet-replay acceptance gate,
 # and the sharded-cluster equivalence gate.
 .PHONY: ci
@@ -63,16 +63,18 @@ faulttest:
 	$(GO) test -count=1 -run 'TestCorruptSnapshot|TestDegraded|TestSnapshot|TestTorn' ./internal/manager/
 	$(GO) test -count=1 -run 'TestReadyzReportsDegraded|TestHealthEndpoints' ./internal/serve/
 
-# crashtest runs the randomized crash-point equivalence test with a pinned
-# seed and a larger iteration budget than the default `go test` run, so CI
-# failures reproduce exactly. Override the knobs to explore:
-#   make crashtest CRASH_SEED=42 CRASH_ITERS=200
-CRASH_SEED ?= 1
-CRASH_ITERS ?= 50
+# crashtest runs the model-based fault schedule — ingest batches,
+# evict/restore, crash/recover and export/import interleaved at random over
+# a scenario-corpus fault — with a pinned seed and a larger iteration budget
+# than the default `go test` run, so CI failures reproduce exactly, plus the
+# concurrent crash/recover churn. Override the knobs to explore:
+#   make crashtest SCHEDULE_SEED=42 SCHEDULE_ITERS=200
+SCHEDULE_SEED ?= 1
+SCHEDULE_ITERS ?= 40
 .PHONY: crashtest
 crashtest:
-	CAD_CRASH_SEED=$(CRASH_SEED) CAD_CRASH_ITERS=$(CRASH_ITERS) \
-		$(GO) test -count=1 -run 'TestCrashRecover' ./internal/manager/
+	CAD_SCHEDULE_SEED=$(SCHEDULE_SEED) CAD_SCHEDULE_ITERS=$(SCHEDULE_ITERS) \
+		$(GO) test -count=1 -run 'TestFaultSchedule|TestCrashRecover' ./internal/manager/
 
 # alerttest runs the push-delivery suite: bus fan-out and eviction, webhook
 # retry/breaker behaviour against flaky endpoints, dead-lettering and DLQ
@@ -128,14 +130,14 @@ fleettest:
 
 # clustertest is the scale-out acceptance gate: ring placement and failover
 # properties, the health/probe loop, snapshot + WAL-tail stream migration
-# equivalence, and the 3-node in-process cluster replaying a scenario corpus
+# equivalence (the fault schedule's export/import steps), and the 3-node in-process cluster replaying a scenario corpus
 # entry with streams sharded across nodes — alarms, anomalies, and
 # pagination must match the single-node run, including after one node is
 # drained and closed. -race because every request path crosses goroutines.
 .PHONY: clustertest
 clustertest:
 	$(GO) test -count=1 -race ./internal/cluster/
-	$(GO) test -count=1 -race -run 'TestExportImport|TestImportRejections' ./internal/manager/
+	$(GO) test -count=1 -race -run 'TestFaultSchedule|TestImportRejections' ./internal/manager/
 	$(GO) test -count=1 -race -run 'TestCluster' ./internal/serve/
 
 # scenario-record re-runs the full scenario × config evaluation matrix and

@@ -100,9 +100,13 @@ type Detector struct {
 	builder tsg.Builder
 
 	// incTSG maintains the TSG across rounds. Lazily created; never
-	// persisted — its state is a pure function of the correlation matrix,
-	// so the first repair after a restore rebuilds it exactly.
-	incTSG *tsg.Incremental
+	// persisted — its graph is a pure function of the correlation matrix,
+	// so the first repair after a restore rebuilds it exactly. What that
+	// repair cannot know is whether the edge set changed since the saved
+	// round: prevOff and prevNbr hold the saved round's adjacency until
+	// then.
+	incTSG           *tsg.Incremental
+	prevOff, prevNbr []int
 	// lw is the Louvain scratch every round of this detector reuses.
 	lw louvain.Workspace
 
@@ -342,6 +346,16 @@ func (d *Detector) partition(corr tsg.Triangle) (louvain.Partition, StageTimings
 		d.incTSG = inc
 	}
 	structural := d.incTSG.Repair(corr)
+	if d.prevOff != nil {
+		// First round after a restore: the fresh graph counted every edge
+		// as inserted. Diff it against the saved round's instead.
+		off, nbr, _ := d.incTSG.Graph().CSR()
+		structural = 0
+		if !slices.Equal(off, d.prevOff) || !slices.Equal(nbr, d.prevNbr) {
+			structural = 1
+		}
+		d.prevOff, d.prevNbr = nil, nil
+	}
 	st.TSGBuild = time.Since(start)
 	start = time.Now()
 	var part louvain.Partition

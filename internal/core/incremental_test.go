@@ -190,66 +190,6 @@ func TestIncrementalCorrelationAccuracy(t *testing.T) {
 	}
 }
 
-// TestIncrementalSaveLoadBitIdentical snapshots the incremental streamer
-// mid-window and requires the restored copy to emit bit-identical reports —
-// including across an exact-refresh boundary, which must fire at the same
-// rounds whether or not a restore happened in between.
-func TestIncrementalSaveLoadBitIdentical(t *testing.T) {
-	series := synth(31, 3, 4, 520, []int{2, 9}, 250, 360)
-	mk := func() *Streamer {
-		det, err := NewDetector(12, incConfig(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewStreamer(det)
-	}
-	// cut mid-window, not on the round cadence.
-	const cut = 173
-	orig := mk()
-	col := make([]float64, 12)
-	for p := 0; p < cut; p++ {
-		series.Column(p, col)
-		if _, _, err := orig.Push(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := orig.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadStreamer(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []RoundReport
-	for p := cut; p < series.Len(); p++ {
-		series.Column(p, col)
-		ra, oka, err := orig.Push(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, okb, err := restored.Push(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oka != okb {
-			t.Fatalf("tick %d: completion %v vs %v", p, oka, okb)
-		}
-		if oka {
-			a = append(a, ra)
-			b = append(b, rb)
-		}
-	}
-	if len(a) == 0 {
-		t.Fatal("no rounds completed after the cut")
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("round %d differs:\nlive     %+v\nrestored %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // rewriteSnapshot decodes a SaveState snapshot, applies edit, and re-encodes
 // it — the way to forge snapshots older code wrote. edit sees a version-4
 // snapshot's raw sections in the fields versions 2 and 3 kept them in: the

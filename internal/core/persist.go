@@ -31,6 +31,11 @@ type persistedState struct {
 	HistRing   []float64
 	HistPos    int
 	HistFilled int
+	// PrevOff and PrevNbr are the latest round's TSG adjacency (CSR
+	// offsets and neighbor ids). The first round after a restore diffs
+	// its graph against them to pick warm or cold Louvain as the saved
+	// detector would have; snapshots without them run that round cold.
+	PrevOff, PrevNbr []int
 }
 
 const persistVersion = 1
@@ -59,6 +64,10 @@ func (d *Detector) SaveState(w io.Writer) error {
 	st.HistRing = d.hist.ring
 	st.HistPos = d.hist.pos
 	st.HistFilled = d.hist.filled
+	st.PrevOff, st.PrevNbr = d.prevOff, d.prevNbr // restored, no round run since
+	if d.incTSG != nil {
+		st.PrevOff, st.PrevNbr, _ = d.incTSG.Graph().CSR()
+	}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("cad: save state: %w", err)
 	}
@@ -132,6 +141,7 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	}
 	d.rcRounds = st.RCRounds
 	copy(d.outlier, st.Outlier)
+	d.prevOff, d.prevNbr = st.PrevOff, st.PrevNbr
 	d.hist.run.SetState(st.HistN, st.HistMean, st.HistM2)
 	if d.hist.ring != nil {
 		copy(d.hist.ring, st.HistRing)

@@ -37,71 +37,6 @@ func streamColumn(rng *rand.Rand, tick int, broken bool) []float64 {
 	return col
 }
 
-// TestStreamerSaveLoadMidWindow interrupts a streamer between rounds — at a
-// tick that is NOT a round boundary, so the partial window matters — and
-// checks the restored streamer continues with bit-identical reports.
-func TestStreamerSaveLoadMidWindow(t *testing.T) {
-	const ticks = 300
-	rng := rand.New(rand.NewSource(9))
-	cols := make([][]float64, ticks)
-	for tick := range cols {
-		cols[tick] = streamColumn(rng, tick, tick >= 150 && tick < 220)
-	}
-
-	det, err := NewDetector(8, streamTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewStreamer(det)
-	var want []RoundReport
-	for _, col := range cols {
-		rep, done, err := ref.Push(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			want = append(want, rep)
-		}
-	}
-
-	// Interrupted run: save/load at ticks chosen to land mid-window
-	// (w=30, s=3 → rounds complete every 3 ticks after tick 30).
-	det2, err := NewDetector(8, streamTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStreamer(det2)
-	var got []RoundReport
-	for tick, col := range cols {
-		if tick == 17 || tick == 101 || tick == 200 {
-			var buf bytes.Buffer
-			if err := s.SaveState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			s, err = LoadStreamer(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep, done, err := s.Push(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			got = append(got, rep)
-		}
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("interrupted run: %d rounds, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("round %d differs after save/load:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestLoadStreamerRejectsGarbage(t *testing.T) {
 	if _, err := LoadStreamer(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage accepted")

@@ -8,7 +8,9 @@ package core_test
 // corpus itself imports core.
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cad/internal/core"
@@ -132,5 +134,90 @@ func TestScenarioRefreshCadenceInvariance(t *testing.T) {
 				t.Errorf("refreshEvery=%d round %d: decisions diverge", every, r)
 			}
 		}
+	}
+}
+
+// TestStreamerSaveLoadMidWindow interrupts a streamer with save/load cycles
+// at ticks that are not round boundaries — one during warm-up, the others
+// mid-window between exact refreshes (RefreshEvery=8) — and checks that the
+// restored streamer continues with bit-identical reports and ends in a
+// byte-identical state: the partial window and the drifted sliding sums
+// must survive verbatim, and each refresh after a restore must fire at the
+// rounds an uninterrupted streamer refreshes at. The cut at tick 222 lands
+// before a round that warm-starts Louvain, and whose warm and cold
+// partitions differ in their community count: the restored detector must
+// take the warm path just as the uninterrupted one does.
+func TestStreamerSaveLoadMidWindow(t *testing.T) {
+	// w=64, s=4: rounds complete at ticks 64, 68, …, so none of these cuts
+	// is a round boundary.
+	saveLoadCuts(t, "cpu-throttle", 37, 222, 501, 603)
+}
+
+// TestIncrementalSaveLoadBitIdentical runs the same check on another
+// corpus stream with a single mid-window cut after warm-up.
+func TestIncrementalSaveLoadBitIdentical(t *testing.T) {
+	saveLoadCuts(t, "crash-loop", 173)
+}
+
+// saveLoadCuts streams a corpus scenario through a streamer with
+// RefreshEvery=8, saving and reloading it before each of the given ticks,
+// and compares the reports and the final state with an uninterrupted run.
+func saveLoadCuts(t *testing.T, name string, cuts ...int) {
+	t.Helper()
+	s, ok := scenario.ByName(name)
+	if !ok {
+		t.Fatalf("%s missing from corpus", name)
+	}
+	inst, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := scenario.BaseConfig()
+	cfg.RefreshEvery = 8
+	drive := func(cuts []int) ([]core.RoundReport, []byte) {
+		det, err := core.NewDetector(inst.Sensors, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := core.NewStreamer(det)
+		var reps []core.RoundReport
+		col := make([]float64, inst.Sensors)
+		for p := 0; p < inst.Series.Len(); p++ {
+			if slices.Contains(cuts, p) {
+				var buf bytes.Buffer
+				if err := sr.SaveState(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if sr, err = core.LoadStreamer(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inst.Series.Column(p, col)
+			rep, done, err := sr.Push(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				reps = append(reps, rep)
+			}
+		}
+		var final bytes.Buffer
+		if err := sr.SaveState(&final); err != nil {
+			t.Fatal(err)
+		}
+		return reps, final.Bytes()
+	}
+	want, wantState := drive(nil)
+	got, gotState := drive(cuts)
+	if len(got) != len(want) {
+		t.Fatalf("interrupted run: %d rounds, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("round %d differs after save/load:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	if !bytes.Equal(gotState, wantState) {
+		t.Fatal("final streamer state differs from the uninterrupted run's")
 	}
 }

@@ -100,61 +100,6 @@ func TestAlertLifecycleEvents(t *testing.T) {
 	}
 }
 
-// TestAlertReplayMuted recovers a stream from its WAL and checks that the
-// replay re-emits nothing — the original run already notified — while the
-// anomaly numbering still advances, so the next anomaly after recovery
-// continues the persisted sequence instead of reusing dedup keys.
-func TestAlertReplayMuted(t *testing.T) {
-	dir := t.TempDir()
-	cols := makeCols(5, 400) // fault in ticks [200, 300)
-
-	bus1 := newTestBus(t)
-	sub1 := bus1.Subscribe("plant", 4096)
-	o1 := durableOptions(dir)
-	o1.Alerts = bus1
-	m1 := New(o1)
-	if _, err := m1.Create("plant", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(t, m1, "plant", cols)
-	run1 := collectEvents(sub1)
-	maxID := 0
-	for _, ev := range run1 {
-		if ev.AnomalyID > maxID {
-			maxID = ev.AnomalyID
-		}
-	}
-	if maxID == 0 {
-		t.Fatal("first run emitted no anomaly events")
-	}
-
-	// Crash-restart: same directories, fresh bus.
-	bus2 := newTestBus(t)
-	sub2 := bus2.Subscribe("plant", 4096)
-	o2 := durableOptions(dir)
-	o2.Alerts = bus2
-	m2 := New(o2)
-	if _, err := m2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if replayEvents := collectEvents(sub2); len(replayEvents) != 0 {
-		t.Fatalf("WAL replay re-emitted %d events: %+v", len(replayEvents), replayEvents[0])
-	}
-
-	// A fresh fault after recovery opens a NEW anomaly id.
-	ingestAll(t, m2, "plant", makeCols(99, 400)[200:]) // broken from the start
-	var newID int
-	for _, ev := range collectEvents(sub2) {
-		if ev.Type == alert.TypeAnomalyOpened {
-			newID = ev.AnomalyID
-			break
-		}
-	}
-	if newID <= maxID {
-		t.Fatalf("post-recovery anomaly id = %d, want > %d (numbering must survive restart)", newID, maxID)
-	}
-}
-
 // TestAlertDegradedTransition checks the manager announces losing
 // durability exactly once.
 func TestAlertDegradedTransition(t *testing.T) {

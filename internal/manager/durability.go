@@ -100,8 +100,9 @@ func encodeColumn(col []float64) []byte {
 }
 
 // decodeColumn unpacks a WAL record payload into a column of n readings.
+// The length is checked by division: 8*n overflows for a huge n.
 func decodeColumn(data []byte, n int) ([]float64, error) {
-	if len(data) != 8*n {
+	if len(data)%8 != 0 || len(data)/8 != n {
 		return nil, fmt.Errorf("manager: wal record has %d bytes, want %d", len(data), 8*n)
 	}
 	col := make([]float64, n)
@@ -154,25 +155,22 @@ func (m *Manager) maybeCheckpoint(st *stream) {
 	st.walRecs = 0
 }
 
-// replayWAL opens the stream's WAL and replays every record past the
-// snapshot's sequence cursor through the regular apply path, bringing the
-// restored stream to the exact state of the crashed process. Returns the
-// number of records replayed. The stream must still be private.
-func (m *Manager) replayWAL(st *stream) (int, error) {
-	l, err := m.openWAL(st.id)
-	if err != nil {
-		return 0, err
-	}
-	st.wal = l
+// replayTail re-applies the logged columns past the stream's sequence
+// cursor through the regular apply path, the one loop that crash recovery
+// and migration share. records streams the log to its callback, oldest
+// first, in the shape of wal.Log.Replay. Emission is muted: the run that
+// logged these columns already published their transitions, and
+// re-announcing a stream's whole anomaly history on every restart or move
+// would drown real alerts. Returns how many columns were applied; a
+// record that does not decode stops the replay with the state reached so
+// far, a consistent prefix. The stream must still be private.
+func (m *Manager) replayTail(st *stream, records func(func(wal.Record) error) error) (int, error) {
 	base := st.streamer.Seq()
 	sensors := st.det.Sensors()
 	replayed := 0
-	// Mute alert emission for the replay: the original run already
-	// published these transitions, and re-announcing a stream's whole
-	// anomaly history on every restart would drown real alerts.
 	st.muted = true
 	defer func() { st.muted = false }()
-	err = l.Replay(func(rec wal.Record) error {
+	err := records(func(rec wal.Record) error {
 		if rec.Seq <= base {
 			return nil // already covered by the snapshot
 		}
@@ -180,13 +178,27 @@ func (m *Manager) replayWAL(st *stream) (int, error) {
 		if err != nil {
 			return err
 		}
-		// Round-processing errors are deterministic: the original run hit
+		// Round-processing errors are deterministic: the logging run hit
 		// the same error on the same column and carried on, so replay
 		// does too.
 		_, _ = m.applyColumn(st, col, rec.Time)
 		replayed++
 		return nil
 	})
+	return replayed, err
+}
+
+// replayWAL opens the stream's WAL and replays every record past the
+// snapshot's sequence cursor, bringing the restored stream to the exact
+// state of the crashed process. Returns the number of records replayed.
+// The stream must still be private.
+func (m *Manager) replayWAL(st *stream) (int, error) {
+	l, err := m.openWAL(st.id)
+	if err != nil {
+		return 0, err
+	}
+	st.wal = l
+	replayed, err := m.replayTail(st, l.Replay)
 	m.walReplayed.Add(uint64(replayed))
 	st.walRecs = replayed
 	if err != nil {

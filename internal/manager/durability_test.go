@@ -1,8 +1,10 @@
 package manager
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -302,27 +304,6 @@ func TestSnapshotRetriesExhaustedKeepsResident(t *testing.T) {
 	}
 }
 
-func TestDurableEvictRestoreEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	cols := makeCols(21, 240)
-	want := driveStreamer(t, cols)
-
-	o := durableOptions(dir)
-	o.Capacity = 1
-	m := New(o)
-	if _, err := m.Create("plant", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	got := roundsOf(ingestAll(t, m, "plant", cols[:100]))
-	// Evict mid-window by creating a second stream, then touch "plant" to
-	// restore it and evict "other".
-	if _, err := m.Create("other", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, roundsOf(ingestAll(t, m, "plant", cols[100:]))...)
-	sameReports(t, "durable evict/restore", got, want)
-}
-
 func TestDeleteRemovesWAL(t *testing.T) {
 	dir := t.TempDir()
 	m := New(durableOptions(dir))
@@ -366,4 +347,27 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 	if st, err := m2.Status("plant"); err != nil || st.Ticks != 200 {
 		t.Fatalf("Status = %+v, %v; want 200 ticks", st, err)
 	}
+}
+
+// FuzzDecodeColumn feeds decodeColumn arbitrary WAL payloads and arities.
+// Either it refuses the input, or it returns exactly n readings that
+// encodeColumn packs back into the same bytes, NaN payloads included.
+func FuzzDecodeColumn(f *testing.F) {
+	f.Add(encodeColumn([]float64{0, -1.5, math.Inf(1), math.NaN()}), 4)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, 1)
+	f.Add([]byte{}, 0)
+	f.Add([]byte{}, math.MaxInt/4+1) // 8*n wraps to 0
+	f.Add(make([]byte, 16), -2)
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		col, err := decodeColumn(data, n)
+		if err != nil {
+			return
+		}
+		if len(col) != n {
+			t.Fatalf("decoded %d readings, want %d", len(col), n)
+		}
+		if !bytes.Equal(encodeColumn(col), data) {
+			t.Fatal("decoded column does not re-encode to its payload")
+		}
+	})
 }

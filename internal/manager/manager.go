@@ -215,7 +215,8 @@ type stream struct {
 	// anomalySeq numbers the stream's anomalies (the alert dedup key's
 	// anomalyId); openID is the id of the anomaly in progress, 0 when
 	// none. Persisted in snapshots so a restored stream keeps its
-	// numbering. muted suppresses event emission during WAL replay.
+	// numbering. muted suppresses event emission during tail replay
+	// (crash recovery and migration import).
 	// All guarded by mu.
 	anomalySeq int
 	openID     int

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -128,13 +127,7 @@ func TestIngestValidation(t *testing.T) {
 // completed round reports — the ground truth the manager must reproduce.
 func driveStreamer(t *testing.T, cols [][]float64) []core.RoundReport {
 	t.Helper()
-	return driveStreamerCfg(t, testConfig(), cols)
-}
-
-// driveStreamerCfg is driveStreamer with an explicit detector config.
-func driveStreamerCfg(t *testing.T, cfg core.Config, cols [][]float64) []core.RoundReport {
-	t.Helper()
-	det, err := core.NewDetector(8, cfg)
+	det, err := core.NewDetector(8, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,74 +174,6 @@ func sameReports(t *testing.T, label string, got, want []core.RoundReport) {
 			got[i].Score != want[i].Score || !reflect.DeepEqual(got[i].Outliers, want[i].Outliers) {
 			t.Fatalf("%s: round %d differs:\n got %+v\nwant %+v", label, i, got[i], want[i])
 		}
-	}
-}
-
-// TestEvictRestoreRoundEquivalence interrupts a stream with an eviction
-// mid-window and checks the restored stream finishes with exactly the
-// rounds an uninterrupted streamer produces: snapshots must capture the
-// partial window, history, and tracker, not just the detector.
-func TestEvictRestoreRoundEquivalence(t *testing.T) {
-	cols := makeCols(3, 400)
-	want := driveStreamer(t, cols)
-
-	dir := t.TempDir()
-	m := New(Options{Capacity: 4, SnapshotDir: dir})
-	if _, err := m.Create("a", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	var got []core.RoundReport
-	push := func(from, to int) {
-		t.Helper()
-		res, err := m.IngestBatch("a", cols[from:to])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, roundsOf(res)...)
-	}
-	// 100 is not a multiple of the step offset, so the eviction lands
-	// mid-window.
-	push(0, 100)
-	st := m.residentStream("a")
-	if done, err := m.evict(st, time.Time{}); err != nil || !done {
-		t.Fatalf("evict = %v, %v", done, err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("stream still resident after evict")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "a"+snapSuffix)); err != nil {
-		t.Fatalf("snapshot file: %v", err)
-	}
-	// Next ingest transparently restores and the snapshot file is consumed.
-	push(100, 250)
-	if _, err := os.Stat(filepath.Join(dir, "a"+snapSuffix)); !os.IsNotExist(err) {
-		t.Errorf("snapshot file still present after restore: %v", err)
-	}
-	// A second eviction/restore cycle, then finish the series.
-	st = m.residentStream("a")
-	if done, err := m.evict(st, time.Time{}); err != nil || !done {
-		t.Fatalf("second evict = %v, %v", done, err)
-	}
-	push(250, len(cols))
-
-	sameReports(t, "evict/restore", got, want)
-
-	// The alarm ring and anomaly list survived both evictions.
-	status, err := m.Status("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAlarms := 0
-	for _, rep := range want {
-		if rep.Abnormal {
-			wantAlarms++
-		}
-	}
-	if status.Alarms != wantAlarms {
-		t.Errorf("alarms after restore = %d, want %d", status.Alarms, wantAlarms)
-	}
-	if status.Ticks != len(cols) {
-		t.Errorf("ticks after restore = %d, want %d", status.Ticks, len(cols))
 	}
 }
 

@@ -21,10 +21,9 @@ type TailRecord struct {
 
 // StreamExport is the migration bundle for one stream: a sealed snapshot
 // (the exact gob + CRC32-C footer bytes writeSnapshot puts on disk) plus
-// the WAL-tail records past its cursor. Import replays the tail through
-// the regular apply path, so a moved stream resumes on the receiving node
-// in the same state crash recovery would have reached — the equivalence
-// the crash-point tests already prove.
+// the WAL-tail records past its cursor. Import replays the tail with the
+// routine crash recovery uses (replayTail), so a moved stream resumes on
+// the receiving node in the state recovery would have reached.
 type StreamExport struct {
 	ID       string
 	Snapshot []byte
@@ -198,25 +197,17 @@ func (m *Manager) Import(exp StreamExport) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("manager: import %s: %w", exp.ID, err)
 	}
-	base := st.streamer.Seq()
-	sensors := st.det.Sensors()
-	replayed := 0
-	st.muted = true
-	for _, rec := range exp.Tail {
-		if rec.Seq <= base {
-			continue // already covered by the snapshot
+	replayed, err := m.replayTail(st, func(apply func(wal.Record) error) error {
+		for _, rec := range exp.Tail {
+			if err := apply(wal.Record(rec)); err != nil {
+				return err
+			}
 		}
-		col, cerr := decodeColumn(rec.Data, sensors)
-		if cerr != nil {
-			st.muted = false
-			return 0, fmt.Errorf("manager: import %s: tail: %w", exp.ID, cerr)
-		}
-		// Round-processing errors are deterministic: the source hit the
-		// same error on the same column and carried on, so import does too.
-		_, _ = m.applyColumn(st, col, rec.Time)
-		replayed++
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("manager: import %s: tail: %w", exp.ID, err)
 	}
-	st.muted = false
 	// The imported state supersedes anything this node held for the id
 	// (Adopt semantics): clear stale files, then make it durable here.
 	if m.opt.SnapshotDir != "" {

@@ -5,136 +5,6 @@ import (
 	"testing"
 )
 
-// sameAlarmDecisions compares alarms on every decision field but the
-// arrival timestamp. Migration tests need it because the moved stream's
-// post-handoff alarms are stamped by the receiving manager's clock, whose
-// call count differs from an undisturbed run's.
-func sameAlarmDecisions(t *testing.T, label string, got, want []Alarm) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d alarms, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Round != w.Round || g.Tick != w.Tick || g.Variations != w.Variations || g.Score != w.Score {
-			t.Fatalf("%s: alarm %d differs:\n got %+v\nwant %+v", label, i, g, w)
-		}
-	}
-}
-
-// TestExportImportRoundEquivalence is the migration primitive's core
-// guarantee: a live stream moved mid-window between two managers via
-// Export (sealed checkpoint + WAL tail) and Import (tail replayed through
-// the regular apply path) marches through exactly the rounds an
-// undisturbed streamer produces. The cut lands between round boundaries
-// (253 is not a multiple of S=3) and inside the injected fault window
-// ([200,300) for 400 ticks), so the bundle must carry the partial window,
-// drifted history, tracker state, and live alarm history — not just the
-// detector.
-func TestExportImportRoundEquivalence(t *testing.T) {
-	const ticks, cut = 400, 253
-	cols := makeCols(7, ticks)
-	want := driveStreamer(t, cols)
-
-	src := New(durableOptions(t.TempDir()))
-	if _, err := src.Create("plant", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	firstRounds := roundsOf(ingestAll(t, src, "plant", cols[:cut]))
-	preAlarms, err := src.Alarms("plant", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exp, err := src.Export("plant")
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	// The source keeps serving until the handoff is acknowledged.
-	if _, err := src.Status("plant"); err != nil {
-		t.Fatalf("exported stream stopped serving: %v", err)
-	}
-
-	dst := New(durableOptions(t.TempDir()))
-	replayed, err := dst.Import(exp)
-	if err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	// The base checkpoint is written at Create, so every ingested column
-	// must arrive through the WAL-tail replay path — the path under test.
-	if replayed != cut {
-		t.Fatalf("replayed %d tail columns, want %d", replayed, cut)
-	}
-	if err := src.Delete("plant"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Alarm history crossed the wire verbatim, original timestamps included.
-	postImport, err := dst.Alarms("plant", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preAlarms) == 0 {
-		t.Fatal("no alarms before the cut; the history-transfer check would be vacuous")
-	}
-	sameAlarms(t, "imported history", postImport, preAlarms)
-
-	// The moved stream finishes the run bit-identically.
-	secondRounds := roundsOf(ingestAll(t, dst, "plant", cols[cut:]))
-	sameReports(t, "migrated run", append(firstRounds, secondRounds...), want)
-
-	st, err := dst.Status("plant")
-	if err != nil || st.Ticks != ticks {
-		t.Fatalf("Status after migration = %+v, %v; want %d ticks", st, err, ticks)
-	}
-
-	// Decision-level alarm equivalence against an undisturbed manager.
-	ref := New(durableOptions(t.TempDir()))
-	if _, err := ref.Create("plant", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(t, ref, "plant", cols)
-	refAlarms, err := ref.Alarms("plant", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAlarms, err := dst.Alarms("plant", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAlarmDecisions(t, "migrated alarms", gotAlarms, refAlarms)
-}
-
-// TestExportImportMemoryOnly covers the non-durable fallback: without a
-// WAL the bundle is a fresh in-memory seal with an empty tail, and the
-// moved stream still resumes bit-identically mid-window.
-func TestExportImportMemoryOnly(t *testing.T) {
-	const ticks, cut = 300, 151
-	cols := makeCols(9, ticks)
-	want := driveStreamer(t, cols)
-
-	src := New(Options{})
-	if _, err := src.Create("plant", 8, testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	firstRounds := roundsOf(ingestAll(t, src, "plant", cols[:cut]))
-
-	exp, err := src.Export("plant")
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	if len(exp.Tail) != 0 {
-		t.Fatalf("memory-only export has %d tail records, want 0", len(exp.Tail))
-	}
-
-	dst := New(Options{})
-	if replayed, err := dst.Import(exp); err != nil || replayed != 0 {
-		t.Fatalf("Import = %d, %v; want 0, nil", replayed, err)
-	}
-	secondRounds := roundsOf(ingestAll(t, dst, "plant", cols[cut:]))
-	sameReports(t, "memory-only migration", append(firstRounds, secondRounds...), want)
-}
-
 // TestImportRejections pins the safety edges: a resident id conflicts
 // (the receiver never clobbers live state), a corrupt snapshot is
 // refused, and a bundle whose envelope names another stream is refused.

@@ -19,10 +19,6 @@ const sseBuffer = 64
 
 // handleEvents serves GET /v1/streams/{id}/events: a Server-Sent Events
 // feed of the stream's alert bus events (anomaly transitions, alarms).
-// Each message carries the bus sequence number as its SSE id, the event
-// type as its event name, and the JSON payload webhooks receive as its
-// data. The feed ends when the client disconnects, the bus shuts down, or
-// the client is evicted for not keeping up.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, id string) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
@@ -38,6 +34,18 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, id string
 		writeStreamError(w, err)
 		return
 	}
+	sub := s.alerts.Subscribe(id, sseBuffer)
+	defer sub.Close()
+	serveSSE(w, r, sub, nil, nil)
+}
+
+// serveSSE streams events to the client as Server-Sent Events until the
+// client disconnects, sub ends (bus shutdown, or eviction for falling
+// behind) or a write fails. Each message carries the bus sequence number
+// as its SSE id, the event type as its event name, and the JSON payload
+// webhooks receive as its data. keep, when non-nil, filters sub's events;
+// peers, when non-nil, fans in events relayed from other nodes.
+func serveSSE(w http.ResponseWriter, r *http.Request, sub *alert.Subscription, keep func(alert.Event) bool, peers <-chan alert.Event) {
 	// The controller reaches through the instrumentation wrapper (see
 	// statusWriter.Unwrap) for flushing — SSE is useless buffered — and for
 	// pushing the write deadline forward per event: the server's
@@ -45,8 +53,6 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, id string
 	// A client that stops reading still gets cut off one deadline after its
 	// last successful write.
 	rc := http.NewResponseController(w)
-	sub := s.alerts.Subscribe(id, sseBuffer)
-	defer sub.Close()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -57,25 +63,30 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, id string
 	}
 	ctx := r.Context()
 	for {
+		var ev alert.Event
+		var ok bool
 		select {
 		case <-ctx.Done():
 			return
-		case ev, ok := <-sub.C:
+		case ev, ok = <-sub.C:
 			if !ok {
-				// Bus shutdown or eviction; either way the feed is over.
 				return
 			}
-			data, err := alert.EncodeEvent(ev)
-			if err != nil {
+			if keep != nil && !keep(ev) {
 				continue
 			}
-			_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				return
-			}
+		case ev = <-peers:
+		}
+		data, err := alert.EncodeEvent(ev)
+		if err != nil {
+			continue
+		}
+		_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+			return
+		}
+		if err := rc.Flush(); err != nil {
+			return
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"cad/internal/alert"
 	"cad/internal/cluster"
@@ -19,10 +18,6 @@ import (
 // longer body is answered 413 body_too_large. A variable so tests can
 // lower it.
 var maxHandoffBytes int64 = 256 << 20
-
-// maxCreatePeek bounds the body buffered by the router to learn a create
-// request's stream id; matches the practical size of a create payload.
-const maxCreatePeek = 1 << 20
 
 // scatterLimit is the page size used for shard-local fan-out reads: large
 // enough to cover any bounded store (incident and alarm rings are far
@@ -95,17 +90,17 @@ func (s *Service) routeToOwner(next http.Handler) http.Handler {
 	})
 }
 
-// peekCreateID buffers a POST /v1/streams body far enough to learn the id
-// it creates, restoring the body for the handler. An undecodable body
-// returns "" and is served locally, where the handler produces the
-// proper 400.
+// peekCreateID buffers up to maxCreateBytes of a POST /v1/streams body to
+// learn the id it creates, then hands the handler the whole body again:
+// the buffered bytes followed by the unread rest, so the handler's own
+// bound still sees an oversized body. An undecodable body returns "" and
+// is served locally, where the handler produces the proper 400 or 413.
 func (s *Service) peekCreateID(r *http.Request) string {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCreatePeek))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxCreateBytes))
+	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
 	if err != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
 		return ""
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
 	var probe struct {
 		ID string `json:"id"`
 	}
@@ -323,53 +318,16 @@ func (s *Service) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "alerting is not enabled")
 		return
 	}
-	rc := http.NewResponseController(w)
 	sub := s.alerts.Subscribe("", sseBuffer)
 	defer sub.Close()
-	ctx := r.Context()
 	var peerEvents chan alert.Event // nil (never ready) when not fanning in
 	if s.scatterActive(r) {
 		peerEvents = make(chan alert.Event, sseBuffer)
 		for _, p := range s.cluster.AlivePeers() {
 			go func(p cluster.Node) {
-				_ = s.cluster.StreamPeerEvents(ctx, p, "/v1/events", peerEvents)
+				_ = s.cluster.StreamPeerEvents(r.Context(), p, "/v1/events", peerEvents)
 			}(p)
 		}
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if err := rc.Flush(); err != nil {
-		return
-	}
-	write := func(ev alert.Event) bool {
-		data, err := alert.EncodeEvent(ev)
-		if err != nil {
-			return true
-		}
-		_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if !write(ev) {
-				return
-			}
-		case ev := <-peerEvents:
-			if !write(ev) {
-				return
-			}
-		}
-	}
+	serveSSE(w, r, sub, nil, peerEvents)
 }

@@ -10,7 +10,8 @@ import (
 	"sync"
 )
 
-// maxIngestBytes bounds one ingest request body. It admits a full
+// maxIngestBytes bounds one ingest request body, and the CSV body of a
+// detect request. It admits a full
 // maxBatchColumns batch of 100-sensor columns written with 17 significant
 // digits (about 25 bytes a reading, 25 MB) and the 2.4 MB warm-up batch of
 // an n=1000 stream thirteen times over; a longer body is answered 413

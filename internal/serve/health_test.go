@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"cad/internal/faultfs"
 	"cad/internal/manager"
@@ -44,6 +46,23 @@ func TestHealthEndpoints(t *testing.T) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	wantEnvelope(t, rec, http.StatusMethodNotAllowed, CodeMethodNotAllowed)
+}
+
+// TestReadyzFleetInMemory: the fleet correlator keeps its state only in
+// memory, and /readyz says so without unreadying the node.
+func TestReadyzFleetInMemory(t *testing.T) {
+	svc := NewWithOptions(testDetector(t), Options{Fleet: seededFleet(t)})
+	code, resp := getHealth(t, svc.Handler(), "/readyz")
+	if code != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("/readyz = %d, %+v", code, resp)
+	}
+	fl := resp.Subsystems["fleet"]
+	if fl.Status != "ok" || !strings.HasPrefix(fl.Reason, "in-memory; incidents since ") {
+		t.Fatalf("readyz fleet subsystem = %+v, want ok and in-memory since boot", fl)
+	}
+	if _, err := time.Parse(time.RFC3339, strings.TrimPrefix(fl.Reason, "in-memory; incidents since ")); err != nil {
+		t.Fatalf("readyz fleet reason %q: %v", fl.Reason, err)
+	}
 }
 
 // TestReadyzReportsDegraded fills the disk under a durable manager and

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"time"
 
 	"cad/internal/alert"
 )
@@ -93,42 +91,13 @@ func (s *Service) handleIncidentEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "alerting is not enabled")
 		return
 	}
-	rc := http.NewResponseController(w)
 	sub := s.alerts.Subscribe("", sseBuffer)
 	defer sub.Close()
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if err := rc.Flush(); err != nil {
-		return
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			switch ev.Type {
-			case alert.TypeIncidentOpened, alert.TypeIncidentUpdated, alert.TypeIncidentClosed:
-			default:
-				continue
-			}
-			data, err := alert.EncodeEvent(ev)
-			if err != nil {
-				continue
-			}
-			_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				return
-			}
+	serveSSE(w, r, sub, func(ev alert.Event) bool {
+		switch ev.Type {
+		case alert.TypeIncidentOpened, alert.TypeIncidentUpdated, alert.TypeIncidentClosed:
+			return true
 		}
-	}
+		return false
+	}, nil)
 }

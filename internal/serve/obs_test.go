@@ -159,18 +159,19 @@ func TestIngestRejectsNullReadings(t *testing.T) {
 	}
 }
 
-// spaces is an endless run of JSON whitespace.
-type spaces struct{}
+// filler is an endless run of one byte.
+type filler byte
 
-func (spaces) Read(p []byte) (int, error) {
+func (f filler) Read(p []byte) (int, error) {
 	for i := range p {
-		p[i] = ' '
+		p[i] = byte(f)
 	}
 	return len(p), nil
 }
 
-// TestBodyTooLarge: the ingest, sink and handoff routes read at most their
-// byte limit of a body and answer 413 body_too_large past it.
+// TestBodyTooLarge: the ingest, sink, create-stream, detect and handoff
+// routes read at most their byte limit of a body and answer 413
+// body_too_large past it.
 func TestBodyTooLarge(t *testing.T) {
 	svc, _ := newAlertService(t, alert.Options{})
 	h := svc.Handler()
@@ -178,7 +179,7 @@ func TestBodyTooLarge(t *testing.T) {
 	// A valid column padded past the limit: the decoder reads the padding
 	// without holding it, and nothing is ingested.
 	body := io.MultiReader(strings.NewReader(`{"readings":[0,0,0,0,0,0,0,0]}`),
-		io.LimitReader(spaces{}, maxIngestBytes))
+		io.LimitReader(filler(' '), maxIngestBytes))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", body))
 	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
@@ -187,7 +188,7 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 	// At the limit the same body is ingested.
 	body = io.MultiReader(strings.NewReader(`{"readings":[0,0,0,0,0,0,0,0]}`),
-		io.LimitReader(spaces{}, maxIngestBytes-30))
+		io.LimitReader(filler(' '), maxIngestBytes-30))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", body))
 	if rec.Code != http.StatusOK {
@@ -199,11 +200,29 @@ func TestBodyTooLarge(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sinks", strings.NewReader(sink)))
 	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
 
+	create := `{"id":"` + strings.Repeat("x", maxCreateBytes) + `","sensors":8}`
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams", strings.NewReader(create)))
+	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
+
+	// A CSV header followed by blank lines, which the CSV reader skips.
+	for _, path := range []string{"/v1/detect", "/detect"} {
+		body := io.MultiReader(strings.NewReader("a,b,c,d,e,f,g,h\n"), io.LimitReader(filler('\n'), maxIngestBytes))
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
+	}
+
 	cl, err := cluster.New(cluster.Config{Self: "a", Advertise: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.cluster = cl
+	// A cluster member's router buffers only the bound to learn the id;
+	// the handler still sees the whole body.
+	rec = httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams", strings.NewReader(create)))
+	wantEnvelope(t, rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
 	exp, err := svc.mgr.Export(DefaultStream)
 	if err != nil {
 		t.Fatal(err)

@@ -142,6 +142,9 @@ type Service struct {
 	cluster *cluster.Cluster
 	// decodeSeconds times the ingest body decode of every ingest route.
 	decodeSeconds *obs.Histogram
+	// booted is when the service was built: the fleet correlator keeps its
+	// state only in memory, so its incidents date from here.
+	booted time.Time
 }
 
 // Options configures optional service dependencies.
@@ -203,7 +206,8 @@ func NewWithOptions(det *core.Detector, o Options) *Service {
 	reg := mgr.Registry()
 	return &Service{mgr: mgr, reg: reg, logger: o.Logger, alerts: o.Alerts, fleet: fl, cluster: o.Cluster,
 		decodeSeconds: reg.Histogram("cad_ingest_decode_seconds",
-			"Time to read and decode one ingest request body, over every stream.", decodeBuckets)}
+			"Time to read and decode one ingest request body, over every stream.", decodeBuckets),
+		booted: time.Now()}
 }
 
 // Registry returns the metrics registry the service reports into.
@@ -347,7 +351,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // SubsystemStatus is one subsystem's entry in the /readyz payload:
-// "ok", "degraded" (with the reason), or "disabled" (not configured).
+// "ok", "degraded" (with the reason), or "disabled" (not configured). An
+// ok subsystem may carry a reason too: the fleet's says that its state
+// does not survive a restart.
 type SubsystemStatus struct {
 	Status string `json:"status"`
 	Reason string `json:"reason,omitempty"`
@@ -406,7 +412,10 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		resp.Subsystems["fleet"] = SubsystemStatus{Status: "disabled"}
 	} else {
-		resp.Subsystems["fleet"] = SubsystemStatus{Status: "ok"}
+		// The co-occurrence matrix and the open incidents are not
+		// persisted: a restart starts the correlator empty.
+		resp.Subsystems["fleet"] = SubsystemStatus{Status: "ok",
+			Reason: "in-memory; incidents since " + s.booted.UTC().Format(time.RFC3339)}
 	}
 
 	if s.cluster == nil {
@@ -476,11 +485,20 @@ type StreamListResponse struct {
 	Streams []manager.Info `json:"streams"`
 }
 
+// maxCreateBytes bounds a POST /v1/streams body: an id, a sensor count and
+// a detector config. A longer body is answered 413 body_too_large, and the
+// cluster router buffers no more of it to learn the id.
+const maxCreateBytes = 1 << 20
+
 func (s *Service) handleCreateStream(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes))
 	dec.DisallowUnknownFields()
 	var req CreateStreamRequest
 	if err := dec.Decode(&req); err != nil {
+		if isBodyTooLarge(err) {
+			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "stream definition exceeds %d bytes", maxCreateBytes)
+			return
+		}
 		if errors.Is(err, core.ErrBadConfig) || strings.Contains(err.Error(), "invalid config") {
 			writeError(w, http.StatusBadRequest, CodeBadConfig, "config: %v", err)
 			return
@@ -729,7 +747,11 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
 		return
 	}
-	series, err := mts.ReadCSV(r.Body)
+	series, err := mts.ReadCSV(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	if isBodyTooLarge(err) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "CSV exceeds %d bytes", maxIngestBytes)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadCSV, "bad CSV: %v", err)
 		return
