@@ -197,12 +197,6 @@ func (c *Cluster) Owner(stream string) (Node, bool) {
 	return c.ring.OwnerAmong(stream, c.Alive)
 }
 
-// IsLocal reports whether this node owns the stream right now.
-func (c *Cluster) IsLocal(stream string) bool {
-	n, ok := c.Owner(stream)
-	return ok && n.ID == c.self.ID
-}
-
 // AlivePeers returns the peers currently routable, sorted by id.
 func (c *Cluster) AlivePeers() []Node {
 	c.mu.Lock()

@@ -130,8 +130,13 @@ func TestConfigJSONIncrementalKeyIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Run the first round: the accumulator is empty until then.
+		sr := NewStreamer(det)
+		if _, err := sr.PushSeries(synth(1, 2, 4, cfg.Window.W, nil, -1, -1)); err != nil {
+			t.Fatal(err)
+		}
 		var snap bytes.Buffer
-		if err := NewStreamer(det).SaveState(&snap); err != nil {
+		if err := sr.SaveState(&snap); err != nil {
 			t.Fatal(err)
 		}
 		var st persistedStreamer

@@ -317,16 +317,18 @@ func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, err
 			return RoundReport{}, fmt.Errorf("%w: correlation matrix row %d has %d entries, detector expects %d", ErrBadConfig, i, len(row), d.n)
 		}
 	}
-	return d.processTriangle(tsg.Dense(corr))
+	return d.processTriangle(tsg.Dense(corr), 0)
 }
 
 // processTriangle is the exact streaming round: the correlations corr reads
 // go straight to the TSG repair, then Louvain and the co-appearance advance.
-func (d *Detector) processTriangle(corr tsg.Triangle) (RoundReport, error) {
+// refresh is the time the caller spent summing the window exactly, if it did.
+func (d *Detector) processTriangle(corr tsg.Triangle, refresh time.Duration) (RoundReport, error) {
 	part, st, err := d.partition(corr)
 	if err != nil {
 		return RoundReport{}, err
 	}
+	st.Refresh = refresh
 	rep := d.observedAdvance(part, st)
 	rep.Round = d.round - 1
 	_, rep.WindowEnd = d.cfg.Window.Bounds(rep.Round)

@@ -166,9 +166,7 @@ func TestIncrementalCorrelationAccuracy(t *testing.T) {
 	sr := NewStreamer(det)
 	real := sr.round
 	checked := 0
-	sr.round = func() (RoundReport, error) {
-		// Checked before the round runs, so a refresh round still sees the
-		// sums drifted since the previous refresh.
+	check := func() {
 		corr := sr.acc.Corr()
 		want, err := stats.PearsonMatrix(sr.window().Rows())
 		if err != nil {
@@ -182,7 +180,19 @@ func TestIncrementalCorrelationAccuracy(t *testing.T) {
 			}
 		}
 		checked++
-		return real()
+	}
+	sr.round = func() (RoundReport, error) {
+		// The first round sums its window itself, so it is checked after
+		// it runs, on the sums it read. Every later round is checked
+		// before, so a refresh round still sees the sums drifted since the
+		// previous refresh.
+		if sr.started {
+			check()
+			return real()
+		}
+		rep, err := real()
+		check()
+		return rep, err
 	}
 	pushAll(t, sr, series)
 	if checked < 100 {
@@ -307,9 +317,10 @@ func TestIncrementalFailedRoundRetry(t *testing.T) {
 // still stream by batch recompute, and version 4, written by a stream whose
 // config chose the retired HNSW-built TSG. Each is cut once while the first window
 // is filling and once with a full ring between rounds. The restored
-// streamer must continue with the uninterrupted run's decisions. The
-// detectors are warmed up so that no exact refresh falls on the first
-// streamed round and hides a wrong rebuild.
+// streamer must continue with the uninterrupted run's decisions. A filling
+// ring has no sums to rebuild, since the first round sums its window; the
+// detectors are warmed up so that the round after the full-ring cut is off
+// the refresh cadence and a wrong rebuild shows.
 func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 	his := synth(32, 3, 4, 200, nil, -1, -1) // 41 warm-up rounds
 	series := synth(33, 3, 4, 520, []int{2, 9}, 250, 360)

@@ -7,6 +7,9 @@ import "time"
 // construction dominates on wide sensor arrays, Louvain on dense ones, and
 // the co-appearance advance is the cheap stateful tail.
 type StageTimings struct {
+	// Refresh is the time summing the window's correlations exactly: on
+	// the first round and every RefreshEvery-th after it, zero otherwise.
+	Refresh time.Duration
 	// TSGBuild is the time spent repairing the round's Time-Series Graph
 	// from the maintained correlations.
 	TSGBuild time.Duration

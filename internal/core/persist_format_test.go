@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cad/internal/mts"
+	"cad/internal/stats"
 )
 
 // unpackUpper expands a packed pair-sum triangle into the full row-major
@@ -56,7 +57,9 @@ func asVersion3(st *persistedStreamer) { st.Version = streamerPersistPackedBits 
 // streamer state.
 func asVersion2(st *persistedStreamer) {
 	st.Version = streamerPersistFullSXY
-	st.AccSXY = unpackUpper(bitsFloats(st.AccSXYBits), len(st.Ring))
+	if st.HasAcc {
+		st.AccSXY = unpackUpper(bitsFloats(st.AccSXYBits), len(st.Ring))
+	}
 	st.AccSXYBits = nil
 }
 
@@ -196,7 +199,8 @@ func TestLoadStreamerRejectsBadSections(t *testing.T) {
 	}
 }
 
-// smallSnapshot returns the snapshot of a 12-sensor streamer 10 columns in.
+// smallSnapshot returns the snapshot of a 12-sensor streamer 50 columns
+// in: three rounds run, so it carries the correlation sums.
 func smallSnapshot(t *testing.T) []byte {
 	t.Helper()
 	det, err := NewDetector(12, testConfig())
@@ -204,7 +208,7 @@ func smallSnapshot(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	sr := NewStreamer(det)
-	pushRange(t, sr, synth(3, 3, 4, 10, nil, -1, -1), 0, 10)
+	pushRange(t, sr, synth(3, 3, 4, 50, nil, -1, -1), 0, 50)
 	var snap bytes.Buffer
 	if err := sr.SaveState(&snap); err != nil {
 		t.Fatal(err)
@@ -212,8 +216,11 @@ func smallSnapshot(t *testing.T) []byte {
 	return snap.Bytes()
 }
 
-// TestStreamerSnapshotSize compares the version-4 snapshot of an n=1000,
-// w=64 stream with the version-3 one of the same state, and reports both.
+// TestStreamerSnapshotSize saves an n=1000, w=64 stream one column short of
+// its first round. The accumulator is still empty, so the snapshot is the
+// ring and a header, under 1 MB, and the restored stream's first rounds
+// report what the saved one's do, from the same sums bit for bit. It also
+// compares the snapshot with the version-3 one of the same state.
 func TestStreamerSnapshotSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-sensor snapshot")
@@ -227,11 +234,14 @@ func TestStreamerSnapshotSize(t *testing.T) {
 	}
 	sr := NewStreamer(det)
 	rng := rand.New(rand.NewSource(1))
-	col := make([]float64, n)
-	for p := 0; p < w-1; p++ { // fill all but the last column: no round runs
-		for i := range col {
-			col[i] = rng.NormFloat64()
+	cols := make([][]float64, w+cfg.Window.S)
+	for p := range cols {
+		cols[p] = make([]float64, n)
+		for i := range cols[p] {
+			cols[p][i] = rng.NormFloat64()
 		}
+	}
+	for _, col := range cols[:w-1] { // fill all but the last column: no round runs
 		if _, _, err := sr.Push(col); err != nil {
 			t.Fatal(err)
 		}
@@ -242,14 +252,53 @@ func TestStreamerSnapshotSize(t *testing.T) {
 	}
 	v3 := rewriteSnapshot(t, v4.Bytes(), asVersion3)
 	t.Logf("snapshot bytes at n=%d, w=%d: v4 %d, v3 %d (%.1f%%)", n, w, v4.Len(), v3.Len(), 100*float64(v4.Len())/float64(v3.Len()))
-	// Both store the triangle as raw bits. gob codes a random reading in 9
-	// bytes and the raw ring in 8, while an empty slot costs 8 raw bytes
-	// against gob's 1: the filled slots outweigh the empty column.
+	if v4.Len() >= 1<<20 {
+		t.Fatalf("pre-start snapshot is %d bytes, want under 1 MB", v4.Len())
+	}
+	// gob codes a random reading in 9 bytes and the raw ring in 8, while
+	// an empty slot costs 8 raw bytes against gob's 1: the filled slots
+	// outweigh the empty column.
 	if saved := v3.Len() - v4.Len(); saved < n*w/2 {
 		t.Fatalf("v4 saves %d bytes over v3, want at least %d", saved, n*w/2)
 	}
 	if _, err := LoadStreamer(v3); err != nil {
 		t.Fatal(err)
+	}
+	restored, err := LoadStreamer(&v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for p, col := range cols[w-1:] {
+		want, wok, werr := sr.Push(col)
+		got, gok, gerr := restored.Push(col)
+		if werr != nil || gerr != nil || gok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("column %d: restored %+v %v %v, saved %+v %v %v", w+p, got, gok, gerr, want, wok, werr)
+		}
+		if gok {
+			rounds++
+		}
+	}
+	if rounds != 2 {
+		t.Fatalf("%d rounds completed after the restore, want 2", rounds)
+	}
+	sameSums(t, restored.acc, sr.acc)
+}
+
+// sameSums fails unless two accumulators hold the same sums bit for bit.
+func sameSums(t *testing.T, got, want *stats.SlidingCorr) {
+	t.Helper()
+	gr, gs, gp, gc := got.State()
+	wr, ws, wp, wc := want.State()
+	if gc != wc {
+		t.Fatalf("count %d, want %d", gc, wc)
+	}
+	for _, p := range [][2][]float64{{gr, wr}, {gs, ws}, {gp, wp}} {
+		for k := range p[1] {
+			if math.Float64bits(p[0][k]) != math.Float64bits(p[1][k]) {
+				t.Fatalf("sum %d is %v, want %v", k, p[0][k], p[1][k])
+			}
+		}
 	}
 }
 

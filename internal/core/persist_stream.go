@@ -46,10 +46,10 @@ type persistedStreamer struct {
 	// The incremental correlation accumulator. The drifted live sums are
 	// persisted verbatim — recomputing them on load would diverge from an
 	// uninterrupted run at the last few ulps, breaking bit-identical
-	// replay. Snapshots written without one — by streams that recomputed
-	// each round in batch or built their TSGs with the retired HNSW index
-	// — get it rebuilt from the ring by LoadStreamer, and so restore as
-	// exact streams.
+	// replay. A streamer saves none before its first round. Started
+	// snapshots without one — by streams that recomputed each round in
+	// batch or built their TSGs with the retired HNSW index — get it
+	// rebuilt from the ring by LoadStreamer, and restore as exact streams.
 	HasAcc bool
 	AccRef []float64
 	AccSX  []float64
@@ -98,10 +98,12 @@ func (s *Streamer) SaveState(w io.Writer) error {
 		Started:  s.started,
 		Seq:      s.seq,
 		Base:     s.base,
-		HasAcc:   true,
+		HasAcc:   s.started, // the sums are empty until the first round
 	}
 	var sxy []float64
-	st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
+	if st.HasAcc {
+		st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
+	}
 	if err := writeStreamerSnapshot(w, &st, s.ring, sxy); err != nil {
 		return fmt.Errorf("cad: save streamer: %w", err)
 	}
@@ -277,8 +279,9 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 		if !s.acc.SetState(ref, sx, sxy, st.AccCount) {
 			return nil, fmt.Errorf("%w: streamer snapshot accumulator shape mismatch", ErrBadConfig)
 		}
-	default:
-		s.rebuildAcc()
+	case s.started:
+		// Saved without an accumulator: sum the full ring exactly.
+		s.acc.Refresh(s.chronological())
 	}
 	return s, nil
 }
@@ -328,23 +331,6 @@ func finite(xs []float64) bool { return !slices.ContainsFunc(xs, nonFinite) }
 
 // nonFinite reports whether x is NaN or ±Inf.
 func nonFinite(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
-
-// rebuildAcc derives the correlation accumulator of a snapshot that was
-// saved without one from the restored ring: a filling ring is pushed column
-// by column, exactly as the live stream would have, and a full one is
-// summed exactly in one refresh.
-func (s *Streamer) rebuildAcc() {
-	if s.filled == s.det.cfg.Window.W {
-		s.acc.Refresh(s.chronological())
-		return
-	}
-	for p := 0; p < s.filled; p++ {
-		for i := range s.oldCol {
-			s.oldCol[i] = s.ring[i][p]
-		}
-		s.acc.Push(s.oldCol)
-	}
-}
 
 // persistedTracker is the gob wire format of a Tracker: the windowing it
 // maps rounds with, the open anomaly (if any) with its per-sensor onsets,

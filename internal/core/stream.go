@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"cad/internal/mts"
 	"cad/internal/stats"
@@ -14,9 +15,10 @@ import (
 // when a new round of data arrives, repeat Lines 6–11 of Algorithm 2). It is
 // the only round pipeline: Detector.Detect and WarmUp push their series
 // through one too. It maintains the trailing window internally in a ring
-// buffer, so callers only push columns, and the window's correlations with
-// an O(n²) rank-one update per column (stats.SlidingCorr), so a round
-// repairs the TSG instead of recomputing it at O(n²·w).
+// buffer, so callers only push columns, and from the first round on the
+// window's correlations with an O(n²) rank-one update per column
+// (stats.SlidingCorr), so a round repairs the TSG instead of recomputing
+// it at O(n²·w).
 //
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
@@ -107,13 +109,15 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 		}
 	}
 	w, step := s.det.cfg.Window.W, s.det.cfg.Window.S
-	wasFull := s.filled == w
-	if wasFull {
-		// Capture the evicted column before it is overwritten; the
-		// accumulator needs it to subtract the leaving contribution.
+	need := w
+	if s.started {
+		// Slide the sums before the ring overwrites the leaving column.
+		// Until the first round they stay empty: that round sums the ring.
 		for i := range s.oldCol {
 			s.oldCol[i] = s.ring[i][s.pos]
 		}
+		s.acc.Slide(col, s.oldCol)
+		need = step
 	}
 	for i, v := range col {
 		s.ring[i][s.pos] = v
@@ -124,15 +128,6 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	}
 	s.pending++
 	s.seq++
-	if wasFull {
-		s.acc.Slide(col, s.oldCol)
-	} else {
-		s.acc.Push(col)
-	}
-	need := w
-	if s.started {
-		need = step
-	}
 	if s.filled < w || s.pending < need {
 		return RoundReport{}, false, nil
 	}
@@ -155,14 +150,17 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 // the accumulator's packed triangle to the detector's TSG repair, one
 // derived row at a time, so no n×n matrix is built.
 func (s *Streamer) processCorr() (RoundReport, error) {
-	// Periodic exact refresh bounds the accumulator's floating-point drift.
-	// The cadence keys off the persisted round counter, so a restored
-	// streamer refreshes at exactly the same rounds a never-interrupted one
-	// would — required for bit-identical replay.
-	if s.det.round%s.refreshEvery == 0 {
+	// The first round sums the window exactly; later refreshes bound the
+	// slides' drift. The cadence keys off the persisted round counter, so
+	// a restored streamer refreshes at exactly the same rounds a
+	// never-interrupted one would — required for bit-identical replay.
+	var refresh time.Duration
+	if !s.started || s.det.round%s.refreshEvery == 0 {
+		start := time.Now()
 		s.acc.Refresh(s.chronological())
+		refresh = time.Since(start)
 	}
-	return s.det.processTriangle(s.acc.Rows())
+	return s.det.processTriangle(s.acc.Rows(), refresh)
 }
 
 // chronological rotates the ring in place so that slot 0 holds the oldest

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"cad/internal/mts"
+	"cad/internal/stats"
 )
 
 // TestStreamerPushRecoversFromFailedRound is the regression test for the
@@ -439,6 +441,82 @@ func BenchmarkStreamerPushBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sr.Push(col); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// refreshLog records each observed round's refresh time by round.
+type refreshLog map[int]time.Duration
+
+func (l refreshLog) ObserveRound(rep RoundReport, st StageTimings, _, _ float64) {
+	l[rep.Round] = st.Refresh
+}
+
+// TestStreamerFirstRoundRefresh: a stream's first round sums its empty
+// accumulator's window exactly, to the bits pushing the window's columns
+// one by one gives, and StageTimings.Refresh times it. The detector is
+// warmed up on 5 rounds first, so the streamed first round is off the
+// refresh cadence of 8. Every refresh round observes a non-zero Refresh,
+// every other round zero.
+func TestStreamerFirstRoundRefresh(t *testing.T) {
+	const warm = 5
+	cfg := incConfig(8)
+	w, step := cfg.Window.W, cfg.Window.S
+	series := synth(17, 3, 4, 400, nil, -1, -1)
+	det, err := NewDetector(12, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := refreshLog{}
+	det.SetObserver(log)
+	if err := det.WarmUp(slice(t, series, 0, w+(warm-1)*step)); err != nil {
+		t.Fatal(err)
+	}
+	sr := NewStreamer(det)
+	first := slice(t, series, 100, 100+w)
+	if reps := pushAll(t, sr, first); len(reps) != 1 || reps[0].Round != warm {
+		t.Fatalf("first window completed %+v, want round %d", reps, warm)
+	}
+	pushed := stats.NewSlidingCorr(12, w)
+	for p := 0; p < w; p++ {
+		pushed.Push(first.Column(p, nil))
+	}
+	sameSums(t, sr.acc, pushed)
+	pushAll(t, sr, slice(t, series, 100+w, series.Len()))
+	if len(log) < 3*8 {
+		t.Fatalf("only %d rounds observed", len(log))
+	}
+	for r, d := range log {
+		if refresh := r == warm || r%8 == 0; refresh != (d > 0) {
+			t.Errorf("round %d: Refresh %v, want a refresh %v", r, d, refresh)
+		}
+	}
+}
+
+// BenchmarkStreamerFill times an n=1000, w=64 stream from its creation
+// through its first round: the pushes that fill the ring, then the round
+// that sums the window and builds the first TSG. Run it with -cpu 1,2 to
+// see the refresh's parallel split.
+func BenchmarkStreamerFill(b *testing.B) {
+	const n, w = 1000, 64
+	cfg := testConfig()
+	cfg.Window = mts.Windowing{W: w, S: 4}
+	series := synth(19, n/4, 4, w, nil, -1, -1)
+	cols := make([][]float64, w)
+	for p := range cols {
+		cols[p] = series.Column(p, nil)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		det, err := NewDetector(n, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr := NewStreamer(det)
+		for _, col := range cols {
+			if _, _, err := sr.Push(col); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

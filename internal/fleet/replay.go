@@ -104,17 +104,6 @@ type ReplayResult struct {
 	Scenarios  []ScenarioReplay `json:"scenarios"`
 }
 
-// MaxIncidents returns the largest per-scenario incident count.
-func (r *ReplayResult) MaxIncidents() int {
-	max := 0
-	for _, s := range r.Scenarios {
-		if s.Incidents > max {
-			max = s.Incidents
-		}
-	}
-	return max
-}
-
 // OrderOK reports whether LeadLag ordering matched ground truth on
 // every scenario.
 func (r *ReplayResult) OrderOK() bool {

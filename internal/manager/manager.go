@@ -33,6 +33,7 @@
 package manager
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -75,6 +76,29 @@ type Alarm struct {
 	Sensors []int `json:"sensors"`
 	// Time is the wall-clock arrival of the alarming column.
 	Time time.Time `json:"time"`
+}
+
+// MarshalJSON writes the sensors of a round with no outliers as [], not
+// null. In memory the slice stays nil, as gob restores it.
+func (a Alarm) MarshalJSON() ([]byte, error) {
+	type plain Alarm
+	if a.Sensors == nil {
+		a.Sensors = []int{}
+	}
+	return json.Marshal(plain(a))
+}
+
+// UnmarshalJSON reads [] back as nil sensors, so an alarm comes back from
+// JSON as it does from gob and equals the report it was made from.
+func (a *Alarm) UnmarshalJSON(b []byte) error {
+	type plain Alarm
+	if err := json.Unmarshal(b, (*plain)(a)); err != nil {
+		return err
+	}
+	if len(a.Sensors) == 0 {
+		a.Sensors = nil
+	}
+	return nil
 }
 
 // Options configures a Manager.

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -375,5 +376,35 @@ func TestConcurrentStreams(t *testing.T) {
 	}
 	if m.Registry().Counter("cad_stream_snapshot_errors_total", "").Value() != 0 {
 		t.Error("snapshot writes failed during churn")
+	}
+}
+
+// TestAlarmJSONSensors: an alarm without outliers is written as
+// "sensors":[] and read back with nil sensors, as gob restores it; one with
+// outliers round-trips unchanged.
+func TestAlarmJSONSensors(t *testing.T) {
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, a := range []Alarm{
+		{Round: 7, Tick: 40, Variations: 3, Score: 4.5, Time: at},
+		{Round: 8, Tick: 43, Variations: 2, Score: 3.5, Sensors: []int{1, 4}, Time: at},
+	} {
+		raw, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if string(fields["sensors"]) == "null" {
+			t.Errorf("round %d: %s", a.Round, raw)
+		}
+		var back Alarm
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, a) {
+			t.Errorf("round %d: %s decoded as %+v", a.Round, raw, back)
+		}
 	}
 }

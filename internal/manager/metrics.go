@@ -10,6 +10,7 @@ import (
 // round/alarm counters and the current n_r history statistics. Label
 // cardinality is bounded by the manager's stream capacity.
 type detectorMetrics struct {
+	refresh    *obs.Histogram
 	tsgBuild   *obs.Histogram
 	louvain    *obs.Histogram
 	advance    *obs.Histogram
@@ -23,6 +24,8 @@ type detectorMetrics struct {
 func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 	l := obs.Label{Name: "stream", Value: stream}
 	return &detectorMetrics{
+		refresh: reg.Histogram("cad_corr_refresh_seconds",
+			"Time summing the window's correlation sums exactly, on the rounds that do.", obs.DefBuckets, l),
 		tsgBuild: reg.Histogram("cad_tsg_build_seconds",
 			"Time building each round's Time-Series Graph.", obs.DefBuckets, l),
 		louvain: reg.Histogram("cad_louvain_seconds",
@@ -42,8 +45,12 @@ func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 	}
 }
 
-// ObserveRound implements core.RoundObserver.
+// ObserveRound implements core.RoundObserver. Only refresh rounds feed
+// cad_corr_refresh_seconds, so its count is the number of refreshes.
 func (m *detectorMetrics) ObserveRound(rep core.RoundReport, t core.StageTimings, mu, sigma float64) {
+	if t.Refresh > 0 {
+		m.refresh.Observe(t.Refresh.Seconds())
+	}
 	m.tsgBuild.Observe(t.TSGBuild.Seconds())
 	m.louvain.Observe(t.Louvain.Seconds())
 	m.advance.Observe(t.Advance.Seconds())

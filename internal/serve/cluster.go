@@ -141,10 +141,6 @@ func (m ClusterMover) Export(id string) (manager.StreamExport, error) { return m
 // Delete drops the local copy after a peer acknowledged the handoff.
 func (m ClusterMover) Delete(id string) error { return m.Mgr.Delete(id) }
 
-// Mover returns the rebalancing surface of this service's manager, for
-// cluster.Rebalance / cluster.Drain.
-func (s *Service) Mover() cluster.StreamMover { return ClusterMover{Mgr: s.mgr} }
-
 // ClusterResponse is the GET /v1/cluster payload: this node's membership
 // view plus its local shard size.
 type ClusterResponse struct {

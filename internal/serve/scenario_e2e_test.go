@@ -167,3 +167,52 @@ func TestScenarioReplayEndToEnd(t *testing.T) {
 		t.Fatalf("closed anomaly spans [%d,%d), fault is [%d,%d)", closed.Start, closed.End, seg.Start, seg.End)
 	}
 }
+
+// TestAlarmsEmptySensorsJSON replays correlated-regime-shift, whose fault
+// raises abnormal rounds with an empty outlier set (n_r also counts sensors
+// leaving it), and requires /alarms to serve their sensors as [], never
+// null.
+func TestAlarmsEmptySensorsJSON(t *testing.T) {
+	s, ok := scenario.ByName("correlated-regime-shift")
+	if !ok {
+		t.Fatal("correlated-regime-shift missing from corpus")
+	}
+	inst, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := manager.New(manager.Options{Capacity: 2, MaxAlarms: 256})
+	h := NewWithOptions(testDetector(t), Options{Manager: mgr}).Handler()
+	cfg := scenario.BaseConfig()
+	if rec := postJSON(t, h, "/v1/streams", CreateStreamRequest{ID: "crs", Sensors: s.Sensors, Config: &cfg}); rec.Code != http.StatusCreated {
+		t.Fatalf("create stream = %d: %s", rec.Code, rec.Body)
+	}
+	for _, body := range ndjsonBatches(t, inst, 200) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/crs/ingest", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/crs/alarms?limit=256", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("alarms = %d: %s", rec.Code, rec.Body)
+	}
+	var alarms []map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &alarms); err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for _, a := range alarms {
+		switch string(a["sensors"]) {
+		case "null":
+			t.Errorf("alarm at round %s serves \"sensors\":null", a["round"])
+		case "[]":
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatalf("none of %d alarms had an empty outlier set; the test has no power", len(alarms))
+	}
+}

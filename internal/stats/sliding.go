@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // slidingConstEps is the relative threshold below which a sensor's summed
 // variance is treated as zero. Maintaining variances as w·Σx² − (Σx)² leaves
@@ -23,11 +27,12 @@ const slidingConstEps = 1e-12
 //
 // Floating-point drift accumulates in the sums as columns slide through, at
 // roughly one ulp per update. Callers bound it by calling Refresh
-// periodically (the Streamer refreshes every Config.RefreshEvery rounds),
-// which recomputes the sums exactly and re-anchors ref to the current
-// window; between refreshes the derived correlations stay within ~1e-12 of
-// the exact two-pass values, comfortably inside the 1e-9 contract the
-// incremental detection path tests against.
+// periodically (the Streamer sums its first round's window with Refresh
+// and refreshes every Config.RefreshEvery rounds after), which recomputes
+// the sums exactly and re-anchors ref to the current window; between
+// refreshes the derived correlations stay within ~1e-12 of the exact
+// two-pass values, comfortably inside the 1e-9 contract the incremental
+// detection path tests against.
 //
 // A SlidingCorr is not safe for concurrent use.
 type SlidingCorr struct {
@@ -144,38 +149,117 @@ func (c *SlidingCorr) Slide(newCol, oldCol []float64) {
 // Refresh recomputes the sums exactly from the window's current rows,
 // discarding any drift the incremental updates accumulated, and re-anchors
 // the shift reference to the window's first column. rows[i] must be sensor
-// i's current window values in time order.
+// i's current window values in time order, every row the same length.
+//
+// Every sum is accumulated from zero over the window in time order, the
+// order Push adds columns in, so Refresh over w columns leaves exactly the
+// bits w Pushes into an empty accumulator would. Each sensor's deviations
+// are computed once into pooled scratch, and the pair sums are dot products
+// of those rows, four pairs at a time; a window with more than
+// refreshParallelWork multiply-adds splits the triangle's rows across
+// GOMAXPROCS goroutines, which changes no cell's summation order.
 func (c *SlidingCorr) Refresh(rows [][]float64) {
-	n := c.n
-	c.count = 0
+	workers := 1
+	if c.n > 0 && PackedLen(c.n)*len(rows[0]) > refreshParallelWork {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	c.refresh(rows, workers)
+}
+
+// refreshParallelWork is the number of pair multiply-adds, PackedLen(n)·w,
+// above which Refresh goes parallel: about 0.2 ms of serial work, so the
+// n=32 streams of a fleet never start a goroutine while an n=1000, w=64
+// window (32M) splits.
+const refreshParallelWork = 1 << 20
+
+// devBufs recycles Refresh's n×w deviation scratch, so an accumulator keeps
+// no window-sized buffer between refreshes.
+var devBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// refresh is Refresh with the triangle's rows split across workers
+// goroutines.
+func (c *SlidingCorr) refresh(rows [][]float64, workers int) {
+	n, w := c.n, 0
 	if n > 0 {
-		c.count = len(rows[0])
+		w = len(rows[0])
 	}
-	for i := 0; i < n; i++ {
-		if len(rows[i]) > 0 {
-			c.ref[i] = rows[i][0]
-		} else {
-			c.ref[i] = 0
+	c.count = w
+	buf := devBufs.Get().(*[]float64)
+	defer devBufs.Put(buf)
+	if cap(*buf) < n*w {
+		*buf = make([]float64, n*w)
+	}
+	dev := (*buf)[:n*w]
+	for i, ri := range rows[:n] {
+		var ref float64
+		if w > 0 {
+			ref = ri[0]
 		}
-	}
-	off := 0
-	for i := 0; i < n; i++ {
-		ri, refI := rows[i], c.ref[i]
+		c.ref[i] = ref
+		di := dev[i*w : (i+1)*w]
 		var s float64
-		for _, x := range ri {
-			s += x - refI
+		for u, x := range ri[:w] {
+			di[u] = x - ref
+			s += di[u]
 		}
 		c.sx[i] = s
-		row := c.sxy[off : off+n-i]
-		for t := range row {
-			rj, refJ := rows[i+t], c.ref[i+t]
-			var dot float64
-			for u := range ri {
-				dot += (ri[u] - refI) * (rj[u] - refJ)
-			}
-			row[t] = dot
+	}
+	// Split the rows into blocks of about equal cell counts; the caller
+	// sums the last block itself.
+	var wg sync.WaitGroup
+	lo, cells, total := 0, 0, PackedLen(n)
+	for b := 1; b < workers && lo < n; b++ {
+		hi := lo
+		for hi < n && cells < total*b/workers {
+			cells += n - hi
+			hi++
 		}
-		off += n - i
+		if hi > lo {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				c.sumRows(dev, w, lo, hi)
+			}(lo, hi)
+			lo = hi
+		}
+	}
+	c.sumRows(dev, w, lo, n)
+	wg.Wait()
+}
+
+// sumRows writes the pair sums of triangle rows [lo, hi) from the
+// deviation rows dev (sensor i's at dev[i·w:(i+1)·w]), four cells of a
+// row at a time so each of sensor i's deviations is loaded once per four
+// products. The partner rows are resliced to len(di) so the inner loops
+// carry no bounds checks.
+func (c *SlidingCorr) sumRows(dev []float64, w, lo, hi int) {
+	n := c.n
+	for i := lo; i < hi; i++ {
+		di := dev[i*w : (i+1)*w]
+		row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
+		j := i
+		for ; j+4 <= n; j += 4 {
+			d0 := dev[j*w : (j+1)*w][:len(di)]
+			d1 := dev[(j+1)*w : (j+2)*w][:len(di)]
+			d2 := dev[(j+2)*w : (j+3)*w][:len(di)]
+			d3 := dev[(j+3)*w : (j+4)*w][:len(di)]
+			var s0, s1, s2, s3 float64
+			for u, a := range di {
+				s0 += a * d0[u]
+				s1 += a * d1[u]
+				s2 += a * d2[u]
+				s3 += a * d3[u]
+			}
+			row[j-i], row[j-i+1], row[j-i+2], row[j-i+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			dj := dev[j*w : (j+1)*w][:len(di)]
+			var s float64
+			for u, a := range di {
+				s += a * dj[u]
+			}
+			row[j-i] = s
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -319,5 +321,125 @@ func TestPackUpper(t *testing.T) {
 	}
 	if PackUpper(full[:8], 3) != nil {
 		t.Fatal("PackUpper accepted a short matrix")
+	}
+}
+
+// randomRows returns n rows of w readings with a large offset, so the
+// shift reference matters.
+func randomRows(rng *rand.Rand, n, w int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, w)
+		for u := range rows[i] {
+			rows[i][u] = 1e3*float64(i%7) + rng.NormFloat64()
+		}
+	}
+	return rows
+}
+
+// sameState fails unless a and b hold the same sums bit for bit. Without
+// sensors there are no rows to count a refreshed window's columns from, so
+// the counts of n=0 accumulators are not compared.
+func sameState(t *testing.T, what string, a, b *SlidingCorr) {
+	t.Helper()
+	ra, sa, pa, ca := a.State()
+	rb, sb, pb, cb := b.State()
+	if ca != cb && a.n > 0 {
+		t.Fatalf("%s: count %d vs %d", what, ca, cb)
+	}
+	for _, p := range [][2][]float64{{ra, rb}, {sa, sb}, {pa, pb}} {
+		for k := range p[0] {
+			if math.Float64bits(p[0][k]) != math.Float64bits(p[1][k]) {
+				t.Fatalf("%s: value %d is %v vs %v", what, k, p[0][k], p[1][k])
+			}
+		}
+	}
+}
+
+// TestSlidingCorrRefreshMatchesPush: Refresh over a window leaves exactly
+// the bits of pushing its columns into an empty accumulator, whatever the
+// refreshed accumulator held before, on both sides of the parallel
+// threshold (n=257, w=64 is above it).
+func TestSlidingCorrRefreshMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 3, 4, 5, 32, 257} {
+		for _, w := range []int{1, 3, 64} {
+			rows := randomRows(rng, n, w)
+			pushed := NewSlidingCorr(n, w)
+			col := make([]float64, n)
+			for u := 0; u < w; u++ {
+				for i := range col {
+					col[i] = rows[i][u]
+				}
+				pushed.Push(col)
+			}
+			refreshed := NewSlidingCorr(n, w)
+			for i := range col {
+				col[i] = rng.NormFloat64()
+			}
+			refreshed.Push(col) // stale sums Refresh must discard
+			refreshed.Refresh(rows)
+			sameState(t, fmt.Sprintf("n=%d w=%d", n, w), refreshed, pushed)
+		}
+	}
+}
+
+// TestSlidingCorrRefreshSplit: every row split of the triangle sums each
+// cell exactly as the serial kernel does, with more workers than rows too.
+func TestSlidingCorrRefreshSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, shape := range [][2]int{{5, 3}, {13, 17}, {257, 3}} {
+		n, w := shape[0], shape[1]
+		rows := randomRows(rng, n, w)
+		serial := NewSlidingCorr(n, w)
+		serial.refresh(rows, 1)
+		for _, workers := range []int{2, 3, 4, 7, 2 * n} {
+			split := NewSlidingCorr(n, w)
+			split.refresh(rows, workers)
+			sameState(t, fmt.Sprintf("n=%d w=%d workers=%d", n, w, workers), split, serial)
+		}
+	}
+}
+
+// TestSlidingCorrRefreshConcurrent runs parallel refreshes of separate
+// accumulators at once; under -race it checks the workers of one refresh
+// share nothing with another's.
+func TestSlidingCorrRefreshConcurrent(t *testing.T) {
+	const n, w, streams = 200, 64, 4
+	if PackedLen(n)*w <= refreshParallelWork {
+		t.Fatalf("n=%d, w=%d is below the parallel threshold", n, w)
+	}
+	rng := rand.New(rand.NewSource(8))
+	var (
+		wg   sync.WaitGroup
+		accs [streams]*SlidingCorr
+		wins [streams][][]float64
+	)
+	for k := range accs {
+		wins[k] = randomRows(rng, n, w)
+		accs[k] = NewSlidingCorr(n, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			accs[k].refresh(wins[k], 3)
+		}()
+	}
+	wg.Wait()
+	for k, acc := range accs {
+		serial := NewSlidingCorr(n, w)
+		serial.refresh(wins[k], 1)
+		sameState(t, fmt.Sprintf("stream %d", k), acc, serial)
+	}
+}
+
+// BenchmarkSlidingCorrRefresh times one exact refresh of an n=1000, w=64
+// window; run it with -cpu 1,2 to see the parallel split.
+func BenchmarkSlidingCorrRefresh(b *testing.B) {
+	const n, w = 1000, 64
+	rows := randomRows(rand.New(rand.NewSource(1)), n, w)
+	c := NewSlidingCorr(n, w)
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Refresh(rows)
 	}
 }
