@@ -375,6 +375,7 @@ func (d *Detector) partition(corr tsg.Triangle) (louvain.Partition, StageTimings
 		// while the boundary weights keep moving), so any round entered
 		// with a non-empty outlier set runs cold too.
 		part = d.lw.CommunitiesSeeded(d.incTSG.Graph(), d.prevPart)
+		st.Warm = true
 	} else {
 		part = d.lw.Communities(d.incTSG.Graph())
 	}

@@ -182,15 +182,13 @@ func TestIncrementalCorrelationAccuracy(t *testing.T) {
 		checked++
 	}
 	sr.round = func() (RoundReport, error) {
-		// The first round sums its window itself, so it is checked after
-		// it runs, on the sums it read. Every later round is checked
-		// before, so a refresh round still sees the sums drifted since the
-		// previous refresh.
-		if sr.started {
-			check()
-			return real()
-		}
+		// A round's sweep slides the sums by the columns pushed since the
+		// previous round, so they are checked once it has run. The round
+		// before each refresh shows the drift of a full refresh period.
 		rep, err := real()
+		if len(sr.pend) > 0 {
+			t.Fatalf("round left %d slide values pending", len(sr.pend))
+		}
 		check()
 		return rep, err
 	}

@@ -10,11 +10,17 @@ type StageTimings struct {
 	// Refresh is the time summing the window's correlations exactly: on
 	// the first round and every RefreshEvery-th after it, zero otherwise.
 	Refresh time.Duration
-	// TSGBuild is the time spent repairing the round's Time-Series Graph
-	// from the maintained correlations.
+	// TSGBuild is the time of the round's one sweep over the correlation
+	// sums: applying the slides of the columns pushed since the previous
+	// round, deriving the correlations and selecting the Time-Series
+	// Graph's edges, then linking the graph.
 	TSGBuild time.Duration
 	// Louvain is the community-detection time.
 	Louvain time.Duration
+	// Warm reports whether Louvain started from the previous round's
+	// partition (the edge set was unchanged and no outlier was in flight)
+	// rather than from singletons.
+	Warm bool
 	// Advance covers co-appearance mining, outlier-set maintenance, and the
 	// abnormal-round rule.
 	Advance time.Duration

@@ -83,7 +83,9 @@ var sectionBufs = sync.Pool{New: func() any { return new([sectionChunk]byte) }}
 // SaveState serializes the streamer — the detector snapshot plus the
 // in-flight window state — so ingestion can resume mid-window after a
 // restart or eviction with bit-identical round reports. The ring and the
-// correlation sums are streamed to w in fixed-size chunks.
+// correlation sums are streamed to w in fixed-size chunks. The slides of
+// the columns pushed since the last round are applied to the sums first,
+// so the bytes are those of a stream that slid every column in on arrival.
 func (s *Streamer) SaveState(w io.Writer) error {
 	var det bytes.Buffer
 	if err := s.det.SaveState(&det); err != nil {
@@ -102,6 +104,9 @@ func (s *Streamer) SaveState(w io.Writer) error {
 	}
 	var sxy []float64
 	if st.HasAcc {
+		// The snapshot holds the sums with every pushed column slid in,
+		// whether or not a round has swept them yet.
+		s.applyPending()
 		st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
 	}
 	if err := writeStreamerSnapshot(w, &st, s.ring, sxy); err != nil {

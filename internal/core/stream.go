@@ -16,9 +16,11 @@ import (
 // the only round pipeline: Detector.Detect and WarmUp push their series
 // through one too. It maintains the trailing window internally in a ring
 // buffer, so callers only push columns, and from the first round on the
-// window's correlations with an O(n²) rank-one update per column
+// window's correlation sums with an O(n²) rank-one update per column
 // (stats.SlidingCorr), so a round repairs the TSG instead of recomputing
-// it at O(n²·w).
+// it at O(n²·w). A push only records its column's update; the round
+// applies a step's updates in the same sweep over the sums that derives
+// the correlations and selects the TSG.
 //
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
@@ -42,10 +44,13 @@ type Streamer struct {
 	// WindowEnd stamping: a detector warmed up on R rounds starts the
 	// stream R·S columns "into" its own timeline.
 	base int
-	// acc maintains the window's sliding correlation sums. oldCol is
-	// scratch holding the column evicted from the ring by the current
-	// Push.
+	// acc maintains the window's sliding correlation sums. pend holds the
+	// slides (stats.SlidingCorr.Defer) of the columns pushed since the
+	// last round, which the next round's sweep applies; it has room for
+	// one step's worth, S slides. oldCol is scratch holding the column
+	// evicted from the ring by the current Push.
 	acc          *stats.SlidingCorr
+	pend         []float64
 	oldCol       []float64
 	refreshEvery int
 	// round processes the round the ring now holds; tests replace it to
@@ -67,6 +72,7 @@ func NewStreamer(det *Detector) *Streamer {
 		ring:         ring,
 		base:         det.round * det.cfg.Window.S,
 		acc:          stats.NewSlidingCorr(n, w),
+		pend:         make([]float64, 0, 2*det.cfg.Window.S*n),
 		oldCol:       make([]float64, n),
 		refreshEvery: det.cfg.RefreshEvery,
 	}
@@ -111,12 +117,17 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 	w, step := s.det.cfg.Window.W, s.det.cfg.Window.S
 	need := w
 	if s.started {
-		// Slide the sums before the ring overwrites the leaving column.
-		// Until the first round they stay empty: that round sums the ring.
+		// Record the slide before the ring overwrites the leaving column.
+		// Until the first round the sums stay empty: that round sums the
+		// ring.
 		for i := range s.oldCol {
 			s.oldCol[i] = s.ring[i][s.pos]
 		}
-		s.acc.Slide(col, s.oldCol)
+		if len(s.pend) == cap(s.pend) {
+			// Failed rounds left a full step pending: apply it now.
+			s.applyPending()
+		}
+		s.pend = s.acc.Defer(s.pend, col, s.oldCol)
 		need = step
 	}
 	for i, v := range col {
@@ -147,20 +158,38 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 }
 
 // processCorr runs one round: the maintained correlations go straight from
-// the accumulator's packed triangle to the detector's TSG repair, one
-// derived row at a time, so no n×n matrix is built.
+// the accumulator's packed triangle to the detector's TSG repair, which
+// sweeps it once, sliding each row by the pending columns, deriving it and
+// offering it for selection, so no n×n matrix is built.
 func (s *Streamer) processCorr() (RoundReport, error) {
 	// The first round sums the window exactly; later refreshes bound the
 	// slides' drift. The cadence keys off the persisted round counter, so
 	// a restored streamer refreshes at exactly the same rounds a
-	// never-interrupted one would — required for bit-identical replay.
+	// never-interrupted one would — required for bit-identical replay. A
+	// refresh rebuilds every sum from the ring, which already holds the
+	// pending columns, so their slides are dropped.
 	var refresh time.Duration
 	if !s.started || s.det.round%s.refreshEvery == 0 {
 		start := time.Now()
 		s.acc.Refresh(s.chronological())
 		refresh = time.Since(start)
+		s.pend = s.pend[:0]
 	}
-	return s.det.processTriangle(s.acc.Rows(), refresh)
+	rep, err := s.det.processTriangle(s.acc.Rows(s.pend), refresh)
+	if err != nil {
+		// The round failed before the repair read the view, so the
+		// slides are still pending for its retry.
+		return rep, err
+	}
+	s.pend = s.pend[:0]
+	return rep, nil
+}
+
+// applyPending applies the pending slides to the sums, as the columns'
+// Slide calls would have.
+func (s *Streamer) applyPending() {
+	s.acc.Apply(s.pend)
+	s.pend = s.pend[:0]
 }
 
 // chronological rotates the ring in place so that slot 0 holds the oldest

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cad/internal/mts"
+	"cad/internal/simulator"
 	"cad/internal/stats"
 )
 
@@ -322,42 +323,91 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 // TestStreamerMemoryGuard bounds everything an exact n=1000 stream allocates
 // from construction through its first two rounds: the packed pair sums
 // (n(n+1)/2 floats, 4.0 MB), the ring, the TSG and two cold Louvain runs,
-// about 5.0 MB in all. Any n×n float64 matrix on this path would add
-// another 8 MB.
+// about 5.0 MB in all, plus about 90 kB of candidate sets per helper
+// goroutine of the round's sweep (two at n=1000 with eight processors).
+// Any n×n float64 matrix on this path would add another 8 MB. The bound
+// holds at GOMAXPROCS 1, 2 and 8, since the sweep's split follows it.
 func TestStreamerMemoryGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1000-sensor stream")
 	}
 	const n, limit = 1000, 6_000_000
 	cfg := testConfig()
-	det, err := NewDetector(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	series := synth(17, 40, 25, cfg.Window.W+cfg.Window.S, nil, -1, -1)
 	cols := make([][]float64, series.Len())
 	for p := range cols {
 		cols[p] = series.Column(p, nil)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sr := NewStreamer(det)
-	rounds := 0
-	for _, col := range cols {
-		_, ok, err := sr.Push(col)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		det, err := NewDetector(n, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			rounds++
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sr := NewStreamer(det)
+		rounds := 0
+		for _, col := range cols {
+			_, ok, err := sr.Push(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				rounds++
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if rounds != 2 {
+			t.Fatalf("%d rounds completed, want 2", rounds)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Fatalf("GOMAXPROCS %d: streamer allocated %.2f MB over two rounds, want < %.0f MB", procs, float64(got)/1e6, float64(limit)/1e6)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	if rounds != 2 {
-		t.Fatalf("%d rounds completed, want 2", rounds)
+}
+
+// TestStreamerWideRoundAllocs is TestStreamerRoundAllocs at n=1000, where
+// the round's sweep splits across up to three goroutines: at GOMAXPROCS 1,
+// 2 and 8 a steady round allocates at most 4 times, since a helper's
+// goroutine and candidate sets cost the heap nothing once they exist. θ
+// sits below the co-appearance plateau of the 25-sensor communities, as in
+// the benchmark's wide workload, so healthy sensors are not outliers.
+func TestStreamerWideRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 1000-sensor stream")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-		t.Fatalf("streamer allocated %.2f MB over two rounds, want < %.0f MB", float64(got)/1e6, float64(limit)/1e6)
+	const n, rounds = 1000, 5
+	cfg := testConfig()
+	cfg.Theta = 0.018
+	step := cfg.Window.S
+	series := synth(17, 40, 25, cfg.Window.W+(2*rounds+4)*step, nil, -1, -1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		det, err := NewDetector(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := NewStreamer(det)
+		col := make([]float64, n)
+		p := 0
+		round := func() {
+			for i := 0; i < step || p < cfg.Window.W; i++ {
+				series.Column(p, col)
+				p++
+				if _, _, err := sr.Push(col); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for range rounds + 2 { // let every reused buffer reach its size
+			round()
+		}
+		if allocs := testing.AllocsPerRun(rounds, round); allocs > 4 {
+			t.Fatalf("GOMAXPROCS %d: steady-state round allocates %v times, want ≤ 4", procs, allocs)
+		}
 	}
 }
 
@@ -445,11 +495,84 @@ func BenchmarkStreamerPushBuffer(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamerRound times one steady exact round of an n=1000, w=64,
+// S=4 stream set up like the benchmark's wide workload (40 simulated
+// communities, k=10, τ=0.4, θ below the co-appearance plateau): the
+// round's four pushes, then the sweep that slides, derives and selects the
+// triangle's rows, Louvain and the advance. Refreshes are kept out. Run it
+// with -cpu 1,2 to see the sweep's split.
+func BenchmarkStreamerRound(b *testing.B) {
+	const n, w, step = 1000, 64, 4
+	cfg := testConfig()
+	cfg.Window = mts.Windowing{W: w, S: step}
+	cfg.K, cfg.Tau, cfg.Theta = 10, 0.4, 0.018
+	cfg.RefreshEvery = 1 << 30
+	gen, err := simulator.New(simulator.Config{Seed: 19, Sensors: n, Communities: 40, Length: w + 64*step})
+	if err != nil {
+		b.Fatal(err)
+	}
+	series := gen.Clean()
+	cols := make([][]float64, series.Len())
+	for p := range cols {
+		cols[p] = series.Column(p, nil)
+	}
+	det, err := NewDetector(n, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr := NewStreamer(det)
+	p := 0
+	push := func() {
+		if _, _, err := sr.Push(cols[p%len(cols)]); err != nil {
+			b.Fatal(err)
+		}
+		p++
+	}
+	for p < w+4*step { // the first round and a few steady ones
+		push()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for range step {
+			push()
+		}
+	}
+}
+
 // refreshLog records each observed round's refresh time by round.
 type refreshLog map[int]time.Duration
 
 func (l refreshLog) ObserveRound(rep RoundReport, st StageTimings, _, _ float64) {
 	l[rep.Round] = st.Refresh
+}
+
+// warmLog records, by round, whether each observed round's Louvain ran warm.
+type warmLog map[int]bool
+
+func (l warmLog) ObserveRound(rep RoundReport, st StageTimings, _, _ float64) {
+	l[rep.Round] = st.Warm
+}
+
+// TestStreamerStageWarm: StageTimings.Warm reports the Louvain path. The
+// first round has no previous partition and runs cold; on a clean series
+// whose graph settles, later rounds run warm.
+func TestStreamerStageWarm(t *testing.T) {
+	det, err := NewDetector(12, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := warmLog{}
+	det.SetObserver(log)
+	pushAll(t, NewStreamer(det), synth(23, 3, 4, 400, nil, -1, -1))
+	warm := 0
+	for _, w := range log {
+		if w {
+			warm++
+		}
+	}
+	if log[0] || warm == 0 {
+		t.Fatalf("round 0 warm %v, %d of %d rounds warm; want a cold first round and some warm ones", log[0], warm, len(log))
+	}
 }
 
 // TestStreamerFirstRoundRefresh: a stream's first round sums its empty

@@ -12,7 +12,7 @@ import (
 type detectorMetrics struct {
 	refresh    *obs.Histogram
 	tsgBuild   *obs.Histogram
-	louvain    *obs.Histogram
+	warm, cold *obs.Histogram // Louvain time by path
 	advance    *obs.Histogram
 	rounds     *obs.Counter
 	alarms     *obs.Counter
@@ -27,9 +27,11 @@ func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 		refresh: reg.Histogram("cad_corr_refresh_seconds",
 			"Time summing the window's correlation sums exactly, on the rounds that do.", obs.DefBuckets, l),
 		tsgBuild: reg.Histogram("cad_tsg_build_seconds",
-			"Time building each round's Time-Series Graph.", obs.DefBuckets, l),
-		louvain: reg.Histogram("cad_louvain_seconds",
-			"Louvain community-detection time per round.", obs.DefBuckets, l),
+			"Time of each round's sweep over the correlation sums: the pending slides, the derived correlations and the Time-Series Graph selection and link.", obs.DefBuckets, l),
+		warm: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,
+			obs.Label{Name: "path", Value: "warm"}),
+		cold: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,
+			obs.Label{Name: "path", Value: "cold"}),
 		advance: reg.Histogram("cad_advance_seconds",
 			"Co-appearance mining and abnormal-round rule time per round.", obs.DefBuckets, l),
 		rounds: reg.Counter("cad_rounds_total",
@@ -45,6 +47,10 @@ func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 	}
 }
 
+// louvainHelp describes cad_louvain_seconds, whose path label tells the
+// rounds warm-started from the previous partition from the cold ones.
+const louvainHelp = "Louvain community-detection time per round, by path: warm-started from the previous round's partition, or cold."
+
 // ObserveRound implements core.RoundObserver. Only refresh rounds feed
 // cad_corr_refresh_seconds, so its count is the number of refreshes.
 func (m *detectorMetrics) ObserveRound(rep core.RoundReport, t core.StageTimings, mu, sigma float64) {
@@ -52,7 +58,11 @@ func (m *detectorMetrics) ObserveRound(rep core.RoundReport, t core.StageTimings
 		m.refresh.Observe(t.Refresh.Seconds())
 	}
 	m.tsgBuild.Observe(t.TSGBuild.Seconds())
-	m.louvain.Observe(t.Louvain.Seconds())
+	if t.Warm {
+		m.warm.Observe(t.Louvain.Seconds())
+	} else {
+		m.cold.Observe(t.Louvain.Seconds())
+	}
 	m.advance.Observe(t.Advance.Seconds())
 	m.rounds.Inc()
 	if rep.Abnormal {

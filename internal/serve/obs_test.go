@@ -52,7 +52,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cad_corr_refresh_seconds_count{stream="default"} 1`,
 		"# TYPE cad_tsg_build_seconds histogram",
 		`cad_tsg_build_seconds_count{stream="default"} 31`,
-		`cad_louvain_seconds_count{stream="default"} 31`,
 		`cad_advance_seconds_count{stream="default"} 31`,
 		`cad_rounds_total{stream="default"} 31`,
 		"# TYPE cad_alarms_total counter",
@@ -67,6 +66,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// Every round ran Louvain either warm or cold.
+	var louvain int
+	for _, path := range []string{"cold", "warm"} {
+		var c int
+		series := fmt.Sprintf(`cad_louvain_seconds_count{path=%q,stream="default"} `, path)
+		if i := strings.Index(out, series); i < 0 {
+			t.Errorf("/metrics missing %s", series)
+		} else if _, err := fmt.Sscan(out[i+len(series):], &c); err != nil {
+			t.Errorf("%s: %v", series, err)
+		}
+		louvain += c
+	}
+	if louvain != 31 {
+		t.Errorf("cad_louvain_seconds counts %d rounds, want 31", louvain)
 	}
 }
 

@@ -88,9 +88,10 @@
 // exports per-endpoint request counts (http_requests_total), latencies
 // (http_request_duration_seconds), and an in-flight gauge alongside the
 // per-stream detector pipeline metrics: cad_corr_refresh_seconds,
-// cad_tsg_build_seconds, cad_louvain_seconds, cad_advance_seconds, cad_rounds_total,
-// cad_alarms_total, cad_round_variations, cad_history_mu,
-// cad_history_sigma (all labeled {stream}), the registry metrics
+// cad_tsg_build_seconds, cad_louvain_seconds{path="warm|cold"},
+// cad_advance_seconds, cad_rounds_total, cad_alarms_total,
+// cad_round_variations, cad_history_mu, cad_history_sigma (all labeled
+// {stream}), the registry metrics
 // cad_streams_resident, cad_stream_evictions_total,
 // cad_stream_restores_total, cad_stream_snapshot_errors_total,
 // cad_ingest_rejected_total{stream,reason}, and the route-level ingest body

@@ -25,6 +25,12 @@ const slidingConstEps = 1e-12
 // Correlations are derived on demand, row by row through Rows or as a full
 // matrix through Corr.
 //
+// A window step can be applied at once (Slide) or recorded (Defer) and
+// applied later, either by Apply or by a Rows view that slides each
+// triangle row just before deriving it, so a round that reads the
+// correlations passes over the triangle once however many columns it
+// consumed. Both leave the bits of one Slide per step.
+//
 // Floating-point drift accumulates in the sums as columns slide through, at
 // roughly one ulp per update. Callers bound it by calling Refresh
 // periodically (the Streamer sums its first round's window with Refresh
@@ -34,7 +40,8 @@ const slidingConstEps = 1e-12
 // two-pass values, comfortably inside the 1e-9 contract the incremental
 // detection path tests against.
 //
-// A SlidingCorr is not safe for concurrent use.
+// A SlidingCorr is not safe for concurrent use, except that a Rows view
+// may derive distinct rows concurrently.
 type SlidingCorr struct {
 	n, w  int
 	count int       // columns currently summed (≤ w)
@@ -42,9 +49,13 @@ type SlidingCorr struct {
 	sx    []float64 // Σ (x_i − ref_i) per sensor
 	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen)
 	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of Rows, 0 if constant
-	row   []float64 // scratch: one derived correlation row
-	dev   []float64 // scratch: one column of deviations
-	dev2  []float64
+	row   []float64 // scratch: one derived correlation row, for Corr
+	dev   []float64 // scratch: Slide's one pending step
+	// The round view Rows returns: pend holds the steps its rows still
+	// apply as they are derived, and rsx the per-sensor sums with every
+	// one of them applied.
+	pend []float64
+	rsx  []float64
 	// corr is the materialized matrix Corr returns, allocated on its first
 	// call and reused after; the round path never builds it.
 	corr [][]float64
@@ -75,15 +86,15 @@ func PackUpper(full []float64, n int) []float64 {
 // NewSlidingCorr returns an empty accumulator for n sensors and window w.
 func NewSlidingCorr(n, w int) *SlidingCorr {
 	return &SlidingCorr{
-		n:    n,
-		w:    w,
-		ref:  make([]float64, n),
-		sx:   make([]float64, n),
-		sxy:  make([]float64, PackedLen(n)),
-		inv:  make([]float64, n),
-		row:  make([]float64, n),
-		dev:  make([]float64, n),
-		dev2: make([]float64, n),
+		n:   n,
+		w:   w,
+		ref: make([]float64, n),
+		sx:  make([]float64, n),
+		sxy: make([]float64, PackedLen(n)),
+		inv: make([]float64, n),
+		row: make([]float64, n),
+		dev: make([]float64, 0, 2*n),
+		rsx: make([]float64, n),
 	}
 }
 
@@ -104,7 +115,7 @@ func (c *SlidingCorr) Push(col []float64) {
 	if c.count == 0 {
 		copy(c.ref, col)
 	}
-	d := c.dev
+	d := c.dev[:n]
 	for i := 0; i < n; i++ {
 		d[i] = col[i] - c.ref[i]
 	}
@@ -127,23 +138,84 @@ func (c *SlidingCorr) Push(col []float64) {
 // (the evicted column, in the same sensor order) leaves it. The window must
 // be full.
 func (c *SlidingCorr) Slide(newCol, oldCol []float64) {
-	n := c.n
-	dn, do := c.dev, c.dev2
-	for i := 0; i < n; i++ {
-		dn[i] = newCol[i] - c.ref[i]
-		do[i] = oldCol[i] - c.ref[i]
-	}
-	off := 0
-	for i := 0; i < n; i++ {
-		ni, oi := dn[i], do[i]
-		c.sx[i] += ni - oi
-		row := c.sxy[off : off+n-i]
-		dnj, doj := dn[i:n], do[i:n]
-		for t := range row {
-			row[t] += ni*dnj[t] - oi*doj[t]
+	c.dev = c.Defer(c.dev[:0], newCol, oldCol)
+	c.Apply(c.dev)
+}
+
+// Defer records one window step without applying it: it appends the
+// deviations from the shift reference of newCol (entering) and then of
+// oldCol (leaving) to pend and returns the extended slice. A pending list
+// of m steps is 2·m·n values, step k's entering deviations at
+// pend[2k·n:(2k+1)·n] and its leaving ones right after. Apply, or a Rows
+// view swept row by row, applies it; a Refresh makes it void, since the
+// window it rebuilds from already holds every pending column and the
+// deviations are taken against the reference Refresh replaces.
+func (c *SlidingCorr) Defer(pend, newCol, oldCol []float64) []float64 {
+	for _, col := range [2][]float64{newCol, oldCol} {
+		for i, x := range col[:c.n] {
+			pend = append(pend, x-c.ref[i])
 		}
-		off += n - i
 	}
+	return pend
+}
+
+// Apply applies the pending steps pend (see Defer) to the sums, leaving
+// the bits that one Slide per step, in order, would.
+func (c *SlidingCorr) Apply(pend []float64) {
+	for i := 0; i < c.n; i++ {
+		c.sx[i] = c.slidSum(i, pend)
+		c.slideRow(i, pend)
+	}
+}
+
+// slidSum returns sensor i's deviation sum with the pending steps applied,
+// one step at a time in Slide's arithmetic.
+func (c *SlidingCorr) slidSum(i int, pend []float64) float64 {
+	n, s := c.n, c.sx[i]
+	for k := 0; k < len(pend); k += 2 * n {
+		s += pend[k+i] - pend[k+n+i]
+	}
+	return s
+}
+
+// slideRow applies the pending steps to triangle row i in place. Each cell
+// receives the steps in order as d_ij += n_i·n_j − o_i·o_j, Slide's
+// arithmetic, so the cell ends up with the bits that many Slides leave;
+// two steps go through the row per pass, which halves its loads and
+// stores. Only the row's own cells are written, so distinct rows may be
+// slid concurrently.
+func (c *SlidingCorr) slideRow(i int, pend []float64) {
+	n := c.n
+	row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
+	step := 2 * n
+	k := 0
+	for ; k+2*step <= len(pend); k += 2 * step {
+		n0, o0 := pend[k+i : k+n][:len(row)], pend[k+n+i : k+step][:len(row)]
+		n1, o1 := pend[k+step+i : k+step+n][:len(row)], pend[k+step+n+i : k+2*step][:len(row)]
+		a0, b0, a1, b1 := n0[0], o0[0], n1[0], o1[0]
+		for t, v := range row {
+			v += a0*n0[t] - b0*o0[t]
+			v += a1*n1[t] - b1*o1[t]
+			row[t] = v
+		}
+	}
+	if k < len(pend) {
+		dn, do := pend[k+i : k+n][:len(row)], pend[k+n+i : k+step][:len(row)]
+		ni, oi := dn[0], do[0]
+		for t := range row {
+			row[t] += ni*dn[t] - oi*do[t]
+		}
+	}
+}
+
+// slidCell returns pair sum (i, j), i ≤ j, with the pending steps applied
+// in slideRow's arithmetic, without writing it.
+func (c *SlidingCorr) slidCell(i, j int, pend []float64) float64 {
+	n, v := c.n, c.sxy[rowStart(c.n, i)+j-i]
+	for k := 0; k < len(pend); k += 2 * n {
+		v += pend[k+i]*pend[k+j] - pend[k+n+i]*pend[k+n+j]
+	}
+	return v
 }
 
 // Refresh recomputes the sums exactly from the window's current rows,
@@ -204,27 +276,44 @@ func (c *SlidingCorr) refresh(rows [][]float64, workers int) {
 		}
 		c.sx[i] = s
 	}
-	// Split the rows into blocks of about equal cell counts; the caller
-	// sums the last block itself.
+	// The caller sums the first block itself.
 	var wg sync.WaitGroup
+	blocks := SplitRows(nil, n, workers)
+	for b := 1; b+1 < len(blocks); b++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			c.sumRows(dev, w, lo, hi)
+		}(blocks[b], blocks[b+1])
+	}
+	c.sumRows(dev, w, blocks[0], blocks[1])
+	wg.Wait()
+}
+
+// SplitRows splits the rows of an n-row packed triangle into at most
+// blocks runs of consecutive rows holding about equal numbers of cells, for
+// a sweep over the triangle that gives each run to its own goroutine. It
+// appends the run boundaries to bounds[:0] and returns it: run b is rows
+// [bounds[b], bounds[b+1]). Every run is non-empty, except the single one
+// of an empty triangle.
+func SplitRows(bounds []int, n, blocks int) []int {
+	bounds = append(bounds[:0], 0)
 	lo, cells, total := 0, 0, PackedLen(n)
-	for b := 1; b < workers && lo < n; b++ {
+	for b := 1; b < blocks && lo < n; b++ {
 		hi := lo
-		for hi < n && cells < total*b/workers {
+		for hi < n && cells < total*b/blocks {
 			cells += n - hi
 			hi++
 		}
 		if hi > lo {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				c.sumRows(dev, w, lo, hi)
-			}(lo, hi)
+			bounds = append(bounds, hi)
 			lo = hi
 		}
 	}
-	c.sumRows(dev, w, lo, n)
-	wg.Wait()
+	if lo < n || n == 0 {
+		bounds = append(bounds, n)
+	}
+	return bounds
 }
 
 // sumRows writes the pair sums of triangle rows [lo, hi) from the
@@ -263,19 +352,28 @@ func (c *SlidingCorr) sumRows(dev []float64, w, lo, hi int) {
 	}
 }
 
-// Rows prepares one round of correlation reads from the current sums. It
-// computes every sensor's inverse norm once and returns a view that derives
-// the strict upper triangle of the correlation matrix one row at a time, in
-// the sums' storage order, so no n×n matrix is built. The view stays valid
-// until the accumulator next changes or Rows is called again.
-func (c *SlidingCorr) Rows() CorrRows {
+// Rows prepares one round of correlation reads from the current sums with
+// the pending steps pend (see Defer, nil for none) applied. A pre-pass
+// computes every sensor's slid deviation sum and, from the slid diagonal,
+// its inverse norm; it writes no sum. The returned view then derives the
+// strict upper triangle of the correlation matrix one row at a time, in
+// the sums' storage order, so no n×n matrix is built. Deriving row i
+// first applies pend to that row's pair sums and to sensor i's deviation
+// sum, in place, so a view over pending steps is a single sweep: each row
+// is read once, and At is read before the rows it touches are. Once every
+// row is read the sums hold the bits Apply(pend) leaves. The view stays
+// valid until the accumulator next changes or Rows is called again.
+func (c *SlidingCorr) Rows(pend []float64) CorrRows {
 	w := float64(c.count)
+	c.pend = pend
 	for i := 0; i < c.n; i++ {
-		ss := c.sxy[rowStart(c.n, i)]
-		v := w*ss - c.sx[i]*c.sx[i]
+		sx := c.slidSum(i, pend)
+		ss := c.slidCell(i, i, pend)
+		c.rsx[i] = sx
+		v := w*ss - sx*sx
 		// Relative constancy test: v is the difference of the two
 		// magnitude terms, so residue ~ulp·scale means a constant row.
-		if scale := w*ss + c.sx[i]*c.sx[i]; v <= slidingConstEps*scale {
+		if scale := w*ss + sx*sx; v <= slidingConstEps*scale {
 			c.inv[i] = 0
 		} else {
 			c.inv[i] = 1 / math.Sqrt(v)
@@ -287,14 +385,19 @@ func (c *SlidingCorr) Rows() CorrRows {
 // CorrRows is one round's read view of a SlidingCorr; see SlidingCorr.Rows.
 type CorrRows struct{ c *SlidingCorr }
 
-// UpperRow returns the correlations r(i, j) for j = i+1, …, n−1, with the
-// same conventions as PearsonMatrix: values are clamped to [-1, 1], and
-// every pair involving a constant (zero-variance) sensor is 0. The slice is
-// scratch owned by the accumulator and overwritten by the next call.
-func (r CorrRows) UpperRow(i int) []float64 {
+// UpperRow writes the correlations r(i, j) for j = i+1, …, n−1 into
+// dst[:n−1−i] and returns that slice, with the same conventions as
+// PearsonMatrix: values are clamped to [-1, 1], and every pair involving a
+// constant (zero-variance) sensor is 0. Row i's pending steps are applied
+// first (see Rows). Calls for distinct rows may run concurrently.
+func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 	c := r.c
 	n := c.n
-	dst := c.row[:n-1-i]
+	if len(c.pend) > 0 {
+		c.slideRow(i, c.pend)
+		c.sx[i] = c.rsx[i]
+	}
+	dst = dst[:n-1-i]
 	inv := c.inv[i+1 : n]
 	if c.inv[i] == 0 {
 		clear(dst)
@@ -303,8 +406,8 @@ func (r CorrRows) UpperRow(i int) []float64 {
 	w := float64(c.count)
 	start := rowStart(n, i) + 1
 	sxy := c.sxy[start : start+len(dst)]
-	sxj := c.sx[i+1 : n]
-	si, ii := c.sx[i], c.inv[i]
+	sxj := c.rsx[i+1 : n]
+	si, ii := c.rsx[i], c.inv[i]
 	for t := range dst {
 		var v float64
 		if inv[t] != 0 {
@@ -316,13 +419,13 @@ func (r CorrRows) UpperRow(i int) []float64 {
 }
 
 // At returns the single correlation r(i, j), i < j: the value UpperRow(i)
-// holds for j, bit for bit.
+// derives for j, bit for bit, provided row i has not been read yet.
 func (r CorrRows) At(i, j int) float64 {
 	c := r.c
 	if c.inv[i] == 0 || c.inv[j] == 0 {
 		return 0
 	}
-	return pearson(float64(c.count), c.sxy[rowStart(c.n, i)+j-i], c.sx[i], c.sx[j], c.inv[i], c.inv[j])
+	return pearson(float64(c.count), c.slidCell(i, j, c.pend), c.rsx[i], c.rsx[j], c.inv[i], c.inv[j])
 }
 
 // pearson derives one correlation from the window's column count w, the
@@ -354,14 +457,14 @@ func (c *SlidingCorr) Corr() [][]float64 {
 			c.corr[i] = cells[i*n : (i+1)*n]
 		}
 	}
-	rows := c.Rows()
+	rows := c.Rows(nil)
 	for i := 0; i < n; i++ {
 		ci := c.corr[i]
 		ci[i] = 0
 		if c.inv[i] != 0 {
 			ci[i] = 1
 		}
-		for t, r := range rows.UpperRow(i) {
+		for t, r := range rows.UpperRow(i, c.row) {
 			j := i + 1 + t
 			ci[j] = r
 			c.corr[j][i] = r

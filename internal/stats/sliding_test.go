@@ -286,9 +286,10 @@ func TestSlidingCorrRowsMatchCorr(t *testing.T) {
 		c.Push(col)
 	}
 	corr := c.Corr()
-	rows := c.Rows()
+	rows := c.Rows(nil)
+	buf := make([]float64, n)
 	for i := 0; i < n; i++ {
-		row := rows.UpperRow(i)
+		row := rows.UpperRow(i, buf)
 		if len(row) != n-1-i {
 			t.Fatalf("row %d has %d values, want %d", i, len(row), n-1-i)
 		}
@@ -429,6 +430,121 @@ func TestSlidingCorrRefreshConcurrent(t *testing.T) {
 		serial := NewSlidingCorr(n, w)
 		serial.refresh(wins[k], 1)
 		sameState(t, fmt.Sprintf("stream %d", k), acc, serial)
+	}
+}
+
+// clone returns an accumulator holding c's sums bit for bit.
+func clone(c *SlidingCorr) *SlidingCorr {
+	d := NewSlidingCorr(c.n, c.w)
+	d.SetState(c.State())
+	return d
+}
+
+// TestSlidingCorrSweepMatchesSlides: m slides deferred into a buffer of
+// S=4 steps, the way the Streamer holds a round's columns, then swept
+// through a Rows view whose rows are derived in blocks across goroutines,
+// leave the sums m Slide calls leave, bit for bit. Every At taken before
+// the sweep equals what UpperRow derives for the pair, and both equal
+// what a view over the slid sums derives. m = S+1 and S+2 overflow the
+// buffer, which is then applied before the next step is deferred.
+func TestSlidingCorrSweepMatchesSlides(t *testing.T) {
+	const w, S = 24, 4
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 3, 4, 5, 32, 257} {
+		newCol := func() []float64 {
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = 1e3*float64(i%7) + rng.NormFloat64()
+			}
+			if n > 2 {
+				col[1] = 5 // constant
+				col[2] = -col[0]
+			}
+			return col
+		}
+		base := NewSlidingCorr(n, w)
+		cols := make([][]float64, 0, w+S+2)
+		for range w {
+			cols = append(cols, newCol())
+			base.Push(cols[len(cols)-1])
+		}
+		base.Slide(newCol(), cols[0]) // some slid history before the round
+		cols = cols[1:]
+		for m := 1; m <= S+2; m++ {
+			what := fmt.Sprintf("n=%d m=%d", n, m)
+			steps := make([][2][]float64, m)
+			for k := range steps {
+				steps[k] = [2][]float64{newCol(), cols[k]}
+			}
+			slid := clone(base)
+			for _, st := range steps {
+				slid.Slide(st[0], st[1])
+			}
+			swept := clone(base)
+			pend := make([]float64, 0, 2*S*n)
+			for _, st := range steps {
+				if len(pend) == cap(pend) {
+					swept.Apply(pend)
+					pend = pend[:0]
+				}
+				pend = swept.Defer(pend, st[0], st[1])
+			}
+			rows := swept.Rows(pend)
+			at := make([][]float64, n)
+			for i := range at {
+				at[i] = make([]float64, n)
+				for j := i + 1; j < n; j++ {
+					at[i][j] = rows.At(i, j)
+				}
+			}
+			got := make([][]float64, n)
+			blocks := SplitRows(nil, n, 3)
+			var wg sync.WaitGroup
+			for b := 0; b+1 < len(blocks); b++ {
+				wg.Add(1)
+				go func(lo, hi int) {
+					defer wg.Done()
+					buf := make([]float64, n)
+					for i := lo; i < hi; i++ {
+						got[i] = append([]float64(nil), rows.UpperRow(i, buf)...)
+					}
+				}(blocks[b], blocks[b+1])
+			}
+			wg.Wait()
+			sameState(t, what, swept, slid)
+			want := slid.Rows(nil)
+			buf := make([]float64, n)
+			for i := 0; i < n; i++ {
+				for t0, r := range want.UpperRow(i, buf) {
+					j := i + 1 + t0
+					if math.Float64bits(got[i][t0]) != math.Float64bits(r) || math.Float64bits(at[i][j]) != math.Float64bits(r) {
+						t.Fatalf("%s: r(%d,%d): swept %v, At %v, slid %v", what, i, j, got[i][t0], at[i][j], r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSplitRows: the runs cover the rows in order, none is empty, there
+// are at most the asked-for number, and their cell counts are about equal.
+func TestSplitRows(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 100, 1000} {
+		for _, blocks := range []int{1, 2, 3, 7, 2*n + 1} {
+			b := SplitRows(nil, n, blocks)
+			if b[0] != 0 || b[len(b)-1] != n || len(b)-1 > max(blocks, 1) {
+				t.Fatalf("n=%d blocks=%d: bounds %v", n, blocks, b)
+			}
+			for k := 1; k < len(b); k++ {
+				if b[k] <= b[k-1] && n > 0 {
+					t.Fatalf("n=%d blocks=%d: empty run in %v", n, blocks, b)
+				}
+				cells := PackedLen(n-b[k-1]) - PackedLen(n-b[k])
+				if n >= 100 && blocks <= 7 && math.Abs(float64(cells)-float64(PackedLen(n))/float64(len(b)-1)) > float64(n) {
+					t.Fatalf("n=%d blocks=%d: run %d holds %d cells of %d", n, blocks, k-1, cells, PackedLen(n))
+				}
+			}
+		}
 	}
 }
 

@@ -1,23 +1,33 @@
 package tsg
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync/atomic"
+
+	"cad/internal/stats"
+)
 
 // Triangle is a symmetric correlation matrix read through its strict upper
-// triangle, so the diagonal is never read. UpperRow(i) returns r(i, j) for
-// j = i+1, …, n−1; the caller reads each row before asking for the next, so
-// an implementation may derive every row into the same buffer. At(i, j)
-// returns the single value r(i, j), i < j, bit-identical to the one
-// UpperRow(i) holds for j.
+// triangle, so the diagonal is never read. UpperRow(i, dst) returns r(i, j)
+// for j = i+1, …, n−1, either derived into dst[:n−1−i] or as a view of the
+// implementation's own storage. At(i, j) returns the single value r(i, j),
+// i < j, bit-identical to the one UpperRow(i) returns for j.
+//
+// Repair reads a Triangle in one sweep: every At call first, then each row
+// exactly once, distinct rows possibly from several goroutines at once.
+// An implementation may therefore do per-row work when a row is read, such
+// as finishing the row's pending updates.
 type Triangle interface {
-	UpperRow(i int) []float64
+	UpperRow(i int, dst []float64) []float64
 	At(i, j int) float64
 }
 
 // Dense reads a square symmetric matrix as a Triangle without copying.
 type Dense [][]float64
 
-// UpperRow returns the part of row i right of the diagonal.
-func (d Dense) UpperRow(i int) []float64 { return d[i][i+1:] }
+// UpperRow returns the part of row i right of the diagonal; dst is unused.
+func (d Dense) UpperRow(i int, _ []float64) []float64 { return d[i][i+1:] }
 
 // At returns d[i][j].
 func (d Dense) At(i, j int) float64 { return d[i][j] }
@@ -61,17 +71,105 @@ type Incremental struct {
 	rev                reverse
 
 	// sel[u] is u's committed top-K selection sorted by neighbor id
-	// (weights included, pre-τ-pruning). next[u] is the selection the
-	// current Repair builds: ranked best first while candidates are
-	// offered, sorted by id once the pass is over. Both are carved out of
-	// fixed n·K backing arrays and swapped on commit, so the steady state
-	// allocates nothing.
-	sel, next [][]edge
-	// floor[u] is a lower bound on |w| of u's K-th candidate this round: an
-	// offer weaker than the floor is rejected on this one comparison. It
-	// starts at seedFloor and rises to |w| of next[u]'s worst candidate
-	// once the set holds K.
+	// (weights included, pre-τ-pruning). own.next[u] is the selection the
+	// current Repair builds; once the sweep is over it is sorted by id and
+	// swapped with sel. Both are carved out of fixed n·K backing arrays,
+	// so the steady state allocates nothing.
+	sel [][]edge
+	// own is the calling goroutine's candidate sets, into which the other
+	// sweep goroutines' sets are merged.
+	own cands
+	// helpers are the other goroutines of a split sweep, each with its own
+	// sets. They are allocated the first time a Repair splits that wide
+	// and reused after.
+	helpers []helper
+	sweep   sweep
+}
+
+// cands is one sweep goroutine's bounded candidate sets. next[u] holds u's
+// best candidates offered so far, ranked best first. floor[u] is a lower
+// bound on |w| of u's K-th candidate this round: an offer weaker than the
+// floor is rejected on this one comparison. It starts at the shared seed
+// floor and rises to |w| of next[u]'s worst candidate once the set holds
+// K. row is the goroutine's buffer for derived triangle rows.
+type cands struct {
+	next  [][]edge
 	floor []float64
+	row   []float64
+}
+
+func newCands(n, k int) cands {
+	return cands{next: newSets(n, k), floor: make([]float64, n), row: make([]float64, n)}
+}
+
+// newSets returns n empty k-slot sets carved out of one backing array.
+func newSets(n, k int) [][]edge {
+	sets, buf := make([][]edge, n), make([]edge, n*k)
+	for u := range sets {
+		sets[u] = buf[u*k : u*k : (u+1)*k]
+	}
+	return sets
+}
+
+// sweep is one Repair's pass over the triangle: its rows cut into chunks
+// of about equal cell counts, which the sweep's goroutines claim in order
+// until none is left, so one that starts late or runs slow takes fewer.
+// busy counts the helpers still sweeping. The caller waits for it to reach
+// zero by yielding rather than by sleeping: waking a sleeping goroutine can
+// take longer than a chunk's work on a virtualized host.
+type sweep struct {
+	corr   Triangle
+	chunks []int // chunk c is rows [chunks[c], chunks[c+1])
+	next   atomic.Int64
+	busy   atomic.Int64
+}
+
+// sweepChunks is the number of chunks per sweep goroutine.
+const sweepChunks = 8
+
+// run offers the rows of every chunk it claims to the sets c.
+func (s *sweep) run(c *cands) {
+	for {
+		k := int(s.next.Add(1))
+		if k >= len(s.chunks) {
+			return
+		}
+		c.sweep(s.corr, s.chunks[k-1], s.chunks[k])
+	}
+}
+
+// helper is a split sweep's goroutine other than the caller's.
+type helper struct {
+	cands
+	sweep *sweep
+}
+
+// helperQueue hands each helper to the goroutine Repair starts for it.
+// The goroutine runs a function without arguments or captures, which costs
+// the heap nothing, so a split sweep allocates nothing per round. The
+// buffer lets Repair hand a helper over without waiting for its goroutine
+// to be scheduled; 64 covers the helpers of several sweeps running at once,
+// and a full queue only delays the handing over.
+var helperQueue = make(chan *helper, 64)
+
+func runHelper() {
+	h := <-helperQueue
+	h.sweep.run(&h.cands)
+	h.sweep.busy.Add(-1)
+}
+
+// sweepCells is the fewest triangle cells Repair gives one goroutine,
+// about a millisecond of slide, derive and offer work. A goroutine beyond
+// the first costs a candidate set of n·K edges, and the sweep is partly
+// bound by memory bandwidth, so an n=1000 triangle splits across at most
+// three goroutines, two from n=725, while a triangle of fewer sensors, the
+// n=32 streams of a fleet included, is swept by the caller alone.
+const sweepCells = 1 << 17
+
+// sweepWorkers returns how many goroutines Repair sweeps an n-vertex
+// triangle with.
+func sweepWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n*(n-1)/2/sweepCells))
 }
 
 // NewIncremental returns an incremental builder over n vertices with an
@@ -84,22 +182,14 @@ func NewIncremental(b Builder, n int) (*Incremental, error) {
 }
 
 func newIncremental(b Builder, n int) *Incremental {
-	k := b.K
-	inc := &Incremental{
+	return &Incremental{
 		b:        b,
 		n:        n,
 		g:        &Graph{off: make([]int, n+1)},
 		spareOff: make([]int, n+1),
-		sel:      make([][]edge, n),
-		next:     make([][]edge, n),
-		floor:    make([]float64, n),
+		sel:      newSets(n, b.K),
+		own:      newCands(n, b.K),
 	}
-	selBuf, nextBuf := make([]edge, n*k), make([]edge, n*k)
-	for u := 0; u < n; u++ {
-		inc.sel[u] = selBuf[u*k : u*k : (u+1)*k]
-		inc.next[u] = nextBuf[u*k : u*k : (u+1)*k]
-	}
-	return inc
 }
 
 // Graph returns the maintained graph. Repair rebuilds it in place; callers
@@ -112,40 +202,88 @@ func (inc *Incremental) Graph() *Graph { return inc.g }
 // callers use to decide whether the graph's topology is stable enough for
 // warm-started community detection.
 //
-// One pass over the triangle offers each pair's correlation to both
+// One sweep over the triangle offers each pair's correlation to both
 // endpoints' bounded K-slot candidate sets; most offers fail the single
-// comparison against the set's floor. Each set is then sorted by id, and
-// the graph's rows are rebuilt as the merge of those sets with the reverse
-// selections, counting the change against the previous rows on the way.
+// comparison against the set's floor. Above sweepCells cells per
+// goroutine the sweep's rows are shared out among up to GOMAXPROCS
+// goroutines, each offering into sets of its own that start at the same
+// seed floors, and the sets are merged afterwards. rankBefore is a strict
+// total order, so each vertex's K best candidates are the same set however
+// the offers were split. Each set is then sorted by id, and the graph's
+// rows are rebuilt as the merge of those sets with the reverse selections,
+// counting the change against the previous rows on the way.
 func (inc *Incremental) Repair(corr Triangle) (structural int) {
-	n := inc.n
+	return inc.repair(corr, sweepWorkers(inc.n))
+}
+
+// repair is Repair with the sweep shared out among at most workers
+// goroutines.
+func (inc *Incremental) repair(corr Triangle, workers int) (structural int) {
+	n, own, sw := inc.n, &inc.own, &inc.sweep
 	for u := 0; u < n; u++ {
-		inc.next[u] = inc.next[u][:0]
-		inc.floor[u] = inc.seedFloor(u, corr)
+		own.next[u] = own.next[u][:0]
+		own.floor[u] = inc.seedFloor(u, corr)
 	}
-	floor := inc.floor
-	for i := 0; i < n; i++ {
-		row := corr.UpperRow(i)
-		fj := floor[i+1 : i+1+len(row)]
-		for t, w := range row {
-			a := math.Abs(w)
-			if a >= floor[i] {
-				inc.offer(i, i+1+t, w)
-			}
-			if a >= fj[t] {
-				inc.offer(i+1+t, i, w)
+	sw.corr = corr
+	sw.chunks = stats.SplitRows(sw.chunks, n, workers*sweepChunks)
+	sw.next.Store(0)
+	extra := min(workers, len(sw.chunks)-1) - 1
+	for len(inc.helpers) < extra {
+		inc.helpers = append(inc.helpers, helper{cands: newCands(n, inc.b.K), sweep: sw})
+	}
+	hs := inc.helpers[:extra]
+	sw.busy.Store(int64(extra))
+	for i := range hs {
+		h := &hs[i]
+		copy(h.floor, own.floor)
+		for u := range h.next {
+			h.next[u] = h.next[u][:0]
+		}
+		go runHelper()
+		helperQueue <- h
+	}
+	sw.run(own)
+	for sw.busy.Load() > 0 {
+		runtime.Gosched()
+	}
+	sw.corr = nil
+	for i := range hs {
+		for u, set := range hs[i].next {
+			for _, e := range set {
+				if !(math.Abs(e.w) >= own.floor[u]) {
+					break // the set is ranked, so no later entry passes
+				}
+				own.offer(u, e.v, e.w)
 			}
 		}
 	}
 	for u := 0; u < n; u++ {
-		sortByID(inc.next[u])
+		sortByID(own.next[u])
 	}
 	oldOff, oldNbr := inc.g.off, inc.g.nbr
 	inc.g.off, inc.g.nbr = inc.spareOff, inc.spareNbr
-	structural = inc.g.link(inc.next, inc.b.Tau, &inc.rev, oldOff, oldNbr)
+	structural = inc.g.link(own.next, inc.b.Tau, &inc.rev, oldOff, oldNbr)
 	inc.spareOff, inc.spareNbr = oldOff, oldNbr
-	inc.sel, inc.next = inc.next, inc.sel
+	inc.sel, own.next = own.next, inc.sel
 	return structural
+}
+
+// sweep offers the pairs of triangle rows [lo, hi) to the sets.
+func (c *cands) sweep(corr Triangle, lo, hi int) {
+	floor := c.floor
+	for i := lo; i < hi; i++ {
+		row := corr.UpperRow(i, c.row)
+		fj := floor[i+1 : i+1+len(row)]
+		for t, w := range row {
+			a := math.Abs(w)
+			if a >= floor[i] {
+				c.offer(i, i+1+t, w)
+			}
+			if a >= fj[t] {
+				c.offer(i+1+t, i, w)
+			}
+		}
+	}
 }
 
 // seedFloor returns the weakest current |correlation| between u and its K
@@ -178,8 +316,8 @@ func (inc *Incremental) seedFloor(u int, corr Triangle) float64 {
 
 // offer inserts candidate (v, w) into u's ranked candidate set if it ranks
 // among the K best seen so far, evicting the worst when the set is full.
-func (inc *Incremental) offer(u, v int, w float64) {
-	set := inc.next[u]
+func (c *cands) offer(u, v int, w float64) {
+	set := c.next[u]
 	p := len(set)
 	for p > 0 && rankBefore(w, v, set[p-1].w, set[p-1].v) {
 		p--
@@ -193,9 +331,9 @@ func (inc *Incremental) offer(u, v int, w float64) {
 	}
 	copy(set[p+1:], set[p:len(set)-1])
 	set[p] = edge{v, w}
-	inc.next[u] = set
+	c.next[u] = set
 	if len(set) == k {
-		inc.floor[u] = math.Abs(set[k-1].w)
+		c.floor[u] = math.Abs(set[k-1].w)
 	}
 }
 

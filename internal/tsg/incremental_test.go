@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -280,6 +282,178 @@ func TestIncrementalRepairAllocsNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state repair allocates %v times per round", allocs)
+	}
+}
+
+// blockCorr returns a correlation matrix of groups communities: members
+// of one community correlate strongly, others weakly. A quant > 0 rounds
+// every value to its multiple, so equal |r| values abound.
+func blockCorr(rng *rand.Rand, n, groups int, quant float64) [][]float64 {
+	m := randCorr(rng, n, 0)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := 0.3 * m[i][j]
+			if i%groups == j%groups {
+				v = 0.7 + 0.3*rng.Float64()
+			}
+			if quant > 0 {
+				v = math.Round(v/quant) * quant
+			}
+			m[i][j], m[j][i] = v, v
+		}
+	}
+	return m
+}
+
+// TestIncrementalRepairSplit: a sweep shared among any number of
+// goroutines — one, a few, one per row, more than there are rows — selects
+// what the serial sweep selects, round after round: the graph equals
+// FromCorrelation edge for edge and weight for weight, and the structural
+// count is the serial one. The tie-heavy matrices quantize |r| to a few
+// values, so equal candidates of one vertex are offered from chunks that
+// different goroutines sweep, and only the id tie-break orders them.
+func TestIncrementalRepairSplit(t *testing.T) {
+	cases := []struct {
+		name         string
+		n, k, groups int
+		tau, quant   float64
+	}{
+		{"block", 60, 5, 6, 0.4, 0},
+		{"block-ties", 60, 5, 6, 0.4, 0.1},
+		{"random-ties", 45, 7, 1, 0.2, 0.25},
+		{"k=n-1", 13, 12, 3, 0, 0.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := Builder{K: tc.k, Tau: tc.tau}
+			for _, workers := range []int{1, 2, 3, 7, tc.n, 2 * tc.n} {
+				rng := rand.New(rand.NewSource(int64(tc.n)))
+				serial, split := newIncremental(b, tc.n), newIncremental(b, tc.n)
+				corr := blockCorr(rng, tc.n, tc.groups, tc.quant)
+				for step := 0; step < 12; step++ {
+					switch step % 4 {
+					case 1:
+						perturbSensors(rng, corr, 2, tc.quant)
+					case 2:
+						flatten(corr, rng.Intn(tc.n))
+					case 3:
+						corr = blockCorr(rng, tc.n, tc.groups, tc.quant)
+					}
+					want := serial.repair(Dense(corr), 1)
+					got := split.repair(Dense(corr), workers)
+					batch, err := b.FromCorrelation(corr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameGraph(split.Graph(), batch); err != nil {
+						t.Fatalf("workers=%d step %d: split vs FromCorrelation: %v", workers, step, err)
+					}
+					if err := sameGraph(serial.Graph(), batch); err != nil {
+						t.Fatalf("workers=%d step %d: serial vs FromCorrelation: %v", workers, step, err)
+					}
+					if got != want {
+						t.Fatalf("workers=%d step %d: structural %d, serial %d", workers, step, got, want)
+					}
+				}
+				if want := min(workers, tc.n) - 1; len(split.helpers) > want {
+					t.Fatalf("workers=%d: %d helper sets, want at most %d", workers, len(split.helpers), want)
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalRepairSplitConcurrent repairs several graphs at once,
+// each with its sweep split, so the helpers of different graphs share the
+// goroutine hand-off; under -race it checks that no helper touches
+// another graph's state. Every graph must still equal FromCorrelation.
+func TestIncrementalRepairSplitConcurrent(t *testing.T) {
+	const n, k, graphs, rounds = 80, 6, 4, 6
+	b := Builder{K: k, Tau: 0.3}
+	var wg sync.WaitGroup
+	errs := make([]error, graphs)
+	for g := range graphs {
+		rng := rand.New(rand.NewSource(int64(g)))
+		mats := make([][][]float64, rounds)
+		for r := range mats {
+			mats[r] = blockCorr(rng, n, 5+g, 0.05)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inc := newIncremental(b, n)
+			for r, m := range mats {
+				inc.repair(Dense(m), 3+g)
+				batch, err := b.FromCorrelation(m)
+				if err == nil {
+					err = sameGraph(inc.Graph(), batch)
+				}
+				if err != nil {
+					errs[g] = fmt.Errorf("graph %d round %d: %w", g, r, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIncrementalSmallSweepStaysSerial: below the split threshold — every
+// n < 725, the n=32 streams of a fleet among them — Repair sweeps on the
+// calling goroutine alone and allocates no helper sets, however many
+// processors there are; an n=1000 sweep splits three ways.
+func TestIncrementalSmallSweepStaysSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, n := range []int{32, 724} {
+		if got := sweepWorkers(n); got != 1 {
+			t.Fatalf("n=%d sweeps with %d goroutines, want 1", n, got)
+		}
+		rng := rand.New(rand.NewSource(1))
+		inc, err := NewIncremental(Builder{K: 5, Tau: 0.3}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			inc.Repair(Dense(blockCorr(rng, n, 4, 0)))
+		}
+		if inc.helpers != nil {
+			t.Fatalf("n=%d allocated %d helper sets", n, len(inc.helpers))
+		}
+	}
+	if got := sweepWorkers(725); got != 2 {
+		t.Fatalf("n=725 sweeps with %d goroutines at GOMAXPROCS 8, want 2", got)
+	}
+	if got := sweepWorkers(1000); got != 3 {
+		t.Fatalf("n=1000 sweeps with %d goroutines at GOMAXPROCS 8, want 3", got)
+	}
+}
+
+// TestIncrementalSplitRepairAllocsNothing: once its helper sets exist, a
+// split sweep allocates nothing per round, goroutines included.
+func TestIncrementalSplitRepairAllocsNothing(t *testing.T) {
+	const n, k = 200, 10
+	rng := rand.New(rand.NewSource(8))
+	var a, c Triangle = Dense(blockCorr(rng, n, 8, 0)), Dense(blockCorr(rng, n, 8, 0))
+	inc := newIncremental(Builder{K: k, Tau: 0.2}, n)
+	for range 4 {
+		inc.repair(a, 4)
+		inc.repair(c, 4)
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if round++; round%2 == 0 {
+			inc.repair(a, 4)
+		} else {
+			inc.repair(c, 4)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state split repair allocates %v times per round", allocs)
 	}
 }
 
