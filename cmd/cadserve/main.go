@@ -36,10 +36,12 @@
 // recovered — newest checkpoint plus WAL replay — to the exact state of
 // the previous run, including a warmed-up default stream (the -warmup
 // detector then yields to the recovered one). -fsync picks when writes
-// reach stable storage: "always" (default, one fsync per append),
-// "interval" (batched, at most one per -fsync-interval per stream), or
-// "never" (leave it to the OS). If the disk fails while serving, cadserve
-// degrades to memory-only ingest and reports it on GET /readyz.
+// reach stable storage: "always" (default: an ingested column or a
+// created stream is durable before the answer, at one fsync per append),
+// "interval" (no fsync on the request path: one flusher makes everything
+// acknowledged durable every -fsync-interval, and once more at shutdown),
+// or "never" (leave it to the OS). If the disk fails while serving,
+// cadserve degrades to memory-only ingest and reports it on GET /readyz.
 //
 // Alerts are pushed as they happen: every server exposes the live SSE feed
 // (GET /v1/streams/{id}/events) and the sink CRUD (POST/GET /v1/sinks,
@@ -120,7 +122,7 @@ func main() {
 		snapdir  = flag.String("snapdir", "", "directory for evicted-stream snapshots ('' disables eviction)")
 		walDir   = flag.String("wal", "", "write-ahead-log directory enabling crash-safe durability ('' disables)")
 		fsync    = flag.String("fsync", "always", "WAL/snapshot fsync policy: always, interval, or never")
-		fsyncIv  = flag.Duration("fsync-interval", 100*time.Millisecond, "max time between fsyncs under -fsync interval")
+		fsyncIv  = flag.Duration("fsync-interval", 100*time.Millisecond, "how often the flusher fsyncs the WALs under -fsync interval")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		logJSON  = flag.Bool("logjson", false, "emit JSON logs instead of text")
 		webhook  = flag.String("webhook", "", "alert webhook URL, registered as sink \"webhook\" ('' disables)")
@@ -320,16 +322,15 @@ func newCluster(o serverOptions, reg *obs.Registry, logger *slog.Logger, mover f
 // detection events onto bus. A non-nil fl is attached as a bus consumer.
 func newManager(o serverOptions, reg *obs.Registry, bus *alert.Bus, fl *fleet.Fleet) *manager.Manager {
 	return manager.New(manager.Options{
-		Capacity:      o.capacity,
-		IdleTTL:       o.idleTTL,
-		SnapshotDir:   o.snapdir,
-		WALDir:        o.walDir,
-		Fsync:         o.fsync,
-		FsyncInterval: o.fsyncIv,
-		MaxAlarms:     1024,
-		Registry:      reg,
-		Alerts:        bus,
-		Fleet:         fl,
+		Capacity:    o.capacity,
+		IdleTTL:     o.idleTTL,
+		SnapshotDir: o.snapdir,
+		WALDir:      o.walDir,
+		Fsync:       o.fsync,
+		MaxAlarms:   1024,
+		Registry:    reg,
+		Alerts:      bus,
+		Fleet:       fl,
 	})
 }
 
@@ -417,6 +418,9 @@ func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, o
 	if o.fsync != manager.FsyncAlways && o.fsync != manager.FsyncInterval && o.fsync != manager.FsyncNever {
 		return fmt.Errorf("-fsync %q: want always, interval, or never", o.fsync)
 	}
+	if o.fsync == manager.FsyncInterval && o.fsyncIv <= 0 {
+		return fmt.Errorf("-fsync-interval %v: want a positive duration", o.fsyncIv)
+	}
 	reg := obs.NewRegistry()
 	bus, err := newBus(o, reg, logger)
 	if err != nil {
@@ -480,6 +484,23 @@ func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, o
 		}()
 	}
 
+	if o.walDir != "" && o.fsync == manager.FsyncInterval {
+		// The flusher is the only fsync of WAL appends and creates under
+		// the interval policy; its cadence bounds what a power cut loses.
+		go func() {
+			tick := time.NewTicker(o.fsyncIv)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					mgr.Flush()
+				}
+			}
+		}()
+	}
+
 	if fl != nil {
 		// Quiet incidents must close even when no further alarms arrive to
 		// move the event-time clock, so a ticker feeds wall-clock time in.
@@ -536,7 +557,10 @@ func run(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64, o
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
+		err := srv.Shutdown(sctx)
+		// The requests have drained: make what they acknowledged durable.
+		mgr.Flush()
+		if err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {

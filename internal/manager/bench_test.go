@@ -103,3 +103,20 @@ func BenchmarkGlobalMutexIngestBaseline(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// BenchmarkCreateDurable creates n=8 streams with a WAL under each fsync
+// policy: under "always" each create is durable before it returns, under
+// "interval" once the next Flush returns.
+func BenchmarkCreateDurable(b *testing.B) {
+	for _, policy := range []string{FsyncAlways, FsyncInterval} {
+		b.Run(policy, func(b *testing.B) {
+			m := New(Options{WALDir: b.TempDir(), Fsync: policy, Capacity: b.N + 1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Create(fmt.Sprintf("s%d", i), 8, testConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -141,11 +141,17 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m1 := New(durableOptions(dir))
+			// A created stream has no snapshot until its first checkpoint:
+			// checkpoint after the first batch, then log a tail past it.
+			o := durableOptions(dir)
+			o.CheckpointEvery = 40
+			m1 := New(o)
 			if _, err := m1.Create("plant", 8, testConfig()); err != nil {
 				t.Fatal(err)
 			}
-			ingestAll(t, m1, "plant", makeCols(7, 90))
+			cols := makeCols(7, 100)
+			ingestAll(t, m1, "plant", cols[:90])
+			ingestAll(t, m1, "plant", cols[90:])
 			snapPath := corruptSnapshot(t, dir, "plant", tc.fn)
 
 			m2 := New(durableOptions(dir))
@@ -347,6 +353,13 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 	if st, err := m2.Status("plant"); err != nil || st.Ticks != 200 {
 		t.Fatalf("Status = %+v, %v; want 200 ticks", st, err)
 	}
+}
+
+// encodeColumn packs a column as the WAL record payload logColumn writes.
+func encodeColumn(col []float64) []byte {
+	buf := make([]byte, 8*len(col))
+	putColumn(buf, col)
+	return buf
 }
 
 // FuzzDecodeColumn feeds decodeColumn arbitrary WAL payloads and arities.

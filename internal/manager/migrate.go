@@ -136,8 +136,8 @@ func (m *Manager) buildStream(env persistedStream) (*stream, error) {
 // Export captures the stream as a migration bundle, restoring it first if
 // it was evicted. In durable mode the bundle is the on-disk checkpoint
 // plus the live WAL tail — exactly what crash recovery would replay; in
-// memory-only (or degraded) mode it is a fresh in-memory snapshot with an
-// empty tail. The stream keeps serving here until the caller deletes it.
+// memory-only (or degraded) mode, or before the stream's first
+// checkpoint, it is a fresh in-memory snapshot with an empty tail. The stream keeps serving here until the caller deletes it.
 func (m *Manager) Export(id string) (StreamExport, error) {
 	st, err := m.acquire(id)
 	if err != nil {
@@ -161,8 +161,9 @@ func (m *Manager) Export(id string) (StreamExport, error) {
 				}
 			}
 		}
-		// The checkpoint or log was unreadable; fall through to a fresh
-		// in-memory seal, which needs neither.
+		// The stream has no checkpoint yet (its base is the genesis
+		// record), or the checkpoint or log was unreadable; fall through
+		// to a fresh in-memory seal, which needs neither.
 		exp.Tail = nil
 	}
 	data, err := sealStream(st)

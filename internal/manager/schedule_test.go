@@ -2,9 +2,12 @@ package manager
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
@@ -236,6 +239,9 @@ func (s *schedule) crash() {
 	}
 	pushed := s.tick
 	pre := view(s.t, s.m).alarms
+	if !s.checkpointed() {
+		s.ran["crash before a checkpoint"]++
+	}
 	s.open(s.dir)
 	if stats, err := s.m.Recover(); err != nil || stats.Recovered != 1 {
 		s.t.Fatalf("recover after tick %d = %+v, %v", pushed, stats, err)
@@ -255,19 +261,37 @@ func (s *schedule) crash() {
 	s.interrupted("crash", v)
 }
 
+// checkpointed reports whether the stream has a snapshot on disk. Before
+// its first checkpoint it has none, and recovery starts from the WAL's
+// genesis record.
+func (s *schedule) checkpointed() bool {
+	_, err := os.Stat(filepath.Join(s.dir, "snapshots", scheduleID+snapSuffix))
+	return !errors.Is(err, fs.ErrNotExist)
+}
+
 // drive runs one schedule to the end of the stream. interrupt is nil for
-// the uninterrupted reference.
-func (s *schedule) drive(interrupt []func()) scheduleRun {
+// the uninterrupted reference; early, when not nil, is the interruption
+// drawn more often before the first checkpoint.
+func (s *schedule) drive(interrupt []func(), early func()) scheduleRun {
 	s.sub = s.bus.Subscribe(scheduleID, 4096)
 	defer s.sub.Close()
 	s.open(s.t.TempDir())
 	if _, err := s.m.Create(scheduleID, len(s.cols[0]), s.cfg); err != nil {
 		s.t.Fatal(err)
 	}
-	s.crashSpan = 4 * s.fault.BytesWritten()
+	if s.wal {
+		s.crashSpan = 4 * int64(len(sealedOf(s.t, s.m, scheduleID)))
+	}
 	for s.tick < len(s.cols) {
 		s.ingest()
 		if len(interrupt) == 0 || s.tick == len(s.cols) {
+			continue
+		}
+		// Before the first checkpoint the stream's only base on disk is
+		// its WAL's genesis record: crash there often, so recovery from
+		// that record is compared too.
+		if early != nil && !s.checkpointed() && s.rng.Float64() < 0.3 {
+			early()
 			continue
 		}
 		// Interrupt mostly while an anomaly is open: that is when the
@@ -319,7 +343,7 @@ func newScheduleFixture(t *testing.T) *scheduleFixture {
 		inst.Series.Column(p, fx.cols[p])
 	}
 	fx.cfg.RefreshEvery = 8
-	fx.want = fx.schedule(t, rand.New(rand.NewSource(fx.seed)), false, map[string]int{}, nil).drive(nil)
+	fx.want = fx.schedule(t, rand.New(rand.NewSource(fx.seed)), false, map[string]int{}, nil).drive(nil, nil)
 	if len(fx.want.end.alarms) == 0 || len(fx.want.end.anomalies) == 0 {
 		t.Fatal("the reference run raised no alarm; the comparison would be vacuous")
 	}
@@ -345,7 +369,11 @@ func (fx *scheduleFixture) run(t *testing.T, wal bool, kinds ...string) {
 		for _, k := range kinds {
 			interrupt = append(interrupt, steps[k])
 		}
-		compareRuns(t, "schedule "+strconv.Itoa(it), s.drive(interrupt), fx.want)
+		var early func()
+		if slices.Contains(kinds, "crash") {
+			early = s.crash
+		}
+		compareRuns(t, "schedule "+strconv.Itoa(it), s.drive(interrupt, early), fx.want)
 	}
 	for _, k := range append([]string{"ingest"}, kinds...) {
 		if ran[k] == 0 {
@@ -353,6 +381,9 @@ func (fx *scheduleFixture) run(t *testing.T, wal bool, kinds ...string) {
 		} else if k != "ingest" && whileOpen[k] == 0 {
 			t.Errorf("no %s step landed while an anomaly was open (%d ran)", k, ran[k])
 		}
+	}
+	if slices.Contains(kinds, "crash") && ran["crash before a checkpoint"] == 0 {
+		t.Errorf("no crash landed before the first checkpoint, so no recovery started from a genesis record")
 	}
 	t.Logf("steps %v; while an anomaly was open %v", ran, whileOpen)
 }

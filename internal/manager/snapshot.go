@@ -242,8 +242,9 @@ func (m *Manager) quarantine(path string) {
 	m.quarantined.Inc()
 }
 
-// restore loads the snapshot for id, replays its WAL (in durable mode),
-// and re-registers the stream, evicting an LRU victim if the registry is
+// restore loads the snapshot for id, or in durable mode the genesis
+// record of a stream that has none, replays its WAL (in durable mode), and
+// re-registers the stream, evicting an LRU victim if the registry is
 // full. Without a WAL directory the consumed snapshot is deleted — legacy
 // behavior, where a snapshot exists exactly while its stream is evicted;
 // with one the snapshot is the stream's persistent checkpoint and remains.
@@ -254,28 +255,9 @@ func (m *Manager) restore(id string) (*stream, int, error) {
 	if m.opt.SnapshotDir == "" {
 		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	env, err := m.readSnapshot(id)
+	st, err := m.loadStream(id)
 	if err != nil {
-		if errors.Is(err, errCorruptSnapshot) || errors.Is(err, ErrNotFound) {
-			// Without a usable base snapshot the WAL alone cannot rebuild
-			// the stream (it records columns, not configuration), so any
-			// log is quarantined alongside and the id reports a clean
-			// miss: recreatable, not permanently broken.
-			if m.durable() {
-				if _, serr := m.fs.Stat(m.walPath(id)); serr == nil {
-					m.quarantine(m.walPath(id))
-				}
-			}
-			if errors.Is(err, ErrNotFound) {
-				return nil, 0, err
-			}
-			return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, id)
-		}
 		return nil, 0, err
-	}
-	st, err := m.buildStream(env)
-	if err != nil {
-		return nil, 0, fmt.Errorf("manager: restore %s: %w", id, err)
 	}
 	replayed := 0
 	if m.durable() {
@@ -327,4 +309,31 @@ func (m *Manager) restore(id string) (*stream, int, error) {
 	st.mu.Unlock()
 	m.restores.Inc()
 	return st, replayed, nil
+}
+
+// loadStream builds the private stream for id from its snapshot, or in
+// durable mode, when it has none, from its WAL's genesis record. The WAL
+// of a corrupt snapshot is quarantined with it: its records need the base
+// the snapshot held, so the id reports a clean miss, recreatable rather
+// than permanently broken.
+func (m *Manager) loadStream(id string) (*stream, error) {
+	env, err := m.readSnapshot(id)
+	switch {
+	case err == nil:
+		st, err := m.buildStream(env)
+		if err != nil {
+			return nil, fmt.Errorf("manager: restore %s: %w", id, err)
+		}
+		return st, nil
+	case errors.Is(err, ErrNotFound) && m.durable():
+		return m.genesisStream(id)
+	case errors.Is(err, errCorruptSnapshot):
+		if m.durable() {
+			if _, serr := m.fs.Stat(m.walPath(id)); serr == nil {
+				m.quarantine(m.walPath(id))
+			}
+		}
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	return nil, err
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,12 +147,19 @@ func labelSignature(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	byName := func(a, b Label) int { return strings.Compare(a.Name, b.Name) }
+	if !slices.IsSortedFunc(labels, byName) {
+		labels = slices.Clone(labels)
+		slices.SortFunc(labels, byName)
+	}
+	size := 2
+	for _, l := range labels {
+		size += len(l.Name) + len(l.Value) + 4
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('{')
-	for i, l := range sorted {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -164,9 +172,15 @@ func labelSignature(labels []Label) string {
 	return b.String()
 }
 
+// labelEscaper escapes label values for the exposition format. Built once:
+// a Replacer's tables cost kilobytes, and labels are looked up per request.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // Counter returns the counter series for name and labels, creating it on
