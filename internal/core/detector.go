@@ -317,36 +317,29 @@ func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, err
 			return RoundReport{}, fmt.Errorf("%w: correlation matrix row %d has %d entries, detector expects %d", ErrBadConfig, i, len(row), d.n)
 		}
 	}
-	return d.processTriangle(tsg.Dense(corr), 0)
-}
-
-// processTriangle is the exact streaming round: the correlations corr reads
-// go straight to the TSG repair, then Louvain and the co-appearance advance.
-// refresh is the time the caller spent summing the window exactly, if it did.
-func (d *Detector) processTriangle(corr tsg.Triangle, refresh time.Duration) (RoundReport, error) {
-	part, st, err := d.partition(corr)
-	if err != nil {
+	if err := d.initTSG(); err != nil {
 		return RoundReport{}, err
 	}
-	st.Refresh = refresh
-	rep := d.observedAdvance(part, st)
-	rep.Round = d.round - 1
-	_, rep.WindowEnd = d.cfg.Window.Bounds(rep.Round)
-	return rep, nil
+	return d.processTriangle(tsg.Dense(corr), 0), nil
 }
 
-// partition runs the stateless half of Algorithm 1 for one round, timing
-// each stage: the TSG repair followed by warm-started Louvain.
-func (d *Detector) partition(corr tsg.Triangle) (louvain.Partition, StageTimings, error) {
-	var st StageTimings
-	start := time.Now()
+// initTSG creates the TSG maintainer on the detector's first round. It is
+// the only step of a round that can fail, so a round calls it before it
+// changes anything: processTriangle then cannot fail.
+func (d *Detector) initTSG() (err error) {
 	if d.incTSG == nil {
-		inc, err := tsg.NewIncremental(d.builder, d.n)
-		if err != nil {
-			return louvain.Partition{}, st, err
-		}
-		d.incTSG = inc
+		d.incTSG, err = tsg.NewIncremental(d.builder, d.n)
 	}
+	return err
+}
+
+// processTriangle is the exact streaming round, after initTSG, with each
+// stage timed: the correlations corr reads go straight to the TSG repair,
+// then warm-started Louvain and the co-appearance advance. refresh is the
+// time of the caller's refresh pre-pass, if it ran one.
+func (d *Detector) processTriangle(corr tsg.Triangle, refresh time.Duration) RoundReport {
+	st := StageTimings{Refresh: refresh}
+	start := time.Now()
 	structural := d.incTSG.Repair(corr)
 	if d.prevOff != nil {
 		// First round after a restore: the fresh graph counted every edge
@@ -380,7 +373,10 @@ func (d *Detector) partition(corr tsg.Triangle) (louvain.Partition, StageTimings
 		part = d.lw.Communities(d.incTSG.Graph())
 	}
 	st.Louvain = time.Since(start)
-	return part, st, nil
+	rep := d.observedAdvance(part, st)
+	rep.Round = d.round - 1
+	_, rep.WindowEnd = d.cfg.Window.Bounds(rep.Round)
+	return rep
 }
 
 // anyOutlier reports whether the previous round left a non-empty outlier

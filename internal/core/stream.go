@@ -159,28 +159,29 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 
 // processCorr runs one round: the maintained correlations go straight from
 // the accumulator's packed triangle to the detector's TSG repair, which
-// sweeps it once, sliding each row by the pending columns, deriving it and
+// sweeps it once, sliding each row by the pending columns (or, on a
+// refresh round, summing it exactly from the ring), deriving it and
 // offering it for selection, so no n×n matrix is built.
 func (s *Streamer) processCorr() (RoundReport, error) {
+	if err := s.det.initTSG(); err != nil {
+		return RoundReport{}, err // the slides stay pending for the retry
+	}
 	// The first round sums the window exactly; later refreshes bound the
 	// slides' drift. The cadence keys off the persisted round counter, so
 	// a restored streamer refreshes at exactly the same rounds a
 	// never-interrupted one would — required for bit-identical replay. A
 	// refresh rebuilds every sum from the ring, which already holds the
 	// pending columns, so their slides are dropped.
+	var view stats.CorrRows
 	var refresh time.Duration
 	if !s.started || s.det.round%s.refreshEvery == 0 {
 		start := time.Now()
-		s.acc.Refresh(s.chronological())
+		view = s.acc.RefreshRows(s.chronological())
 		refresh = time.Since(start)
-		s.pend = s.pend[:0]
+	} else {
+		view = s.acc.Rows(s.pend)
 	}
-	rep, err := s.det.processTriangle(s.acc.Rows(s.pend), refresh)
-	if err != nil {
-		// The round failed before the repair read the view, so the
-		// slides are still pending for its retry.
-		return rep, err
-	}
+	rep := s.det.processTriangle(view, refresh)
 	s.pend = s.pend[:0]
 	return rep, nil
 }

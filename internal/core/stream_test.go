@@ -371,9 +371,12 @@ func TestStreamerMemoryGuard(t *testing.T) {
 // TestStreamerWideRoundAllocs is TestStreamerRoundAllocs at n=1000, where
 // the round's sweep splits across up to three goroutines: at GOMAXPROCS 1,
 // 2 and 8 a steady round allocates at most 4 times, since a helper's
-// goroutine and candidate sets cost the heap nothing once they exist. θ
-// sits below the co-appearance plateau of the 25-sensor communities, as in
-// the benchmark's wide workload, so healthy sensors are not outliers.
+// goroutine and candidate sets cost the heap nothing once they exist. A
+// stream that refreshes every round (RefreshEvery = 1) allocates at most 2
+// times more per round, for refilling the pooled deviation scratch after a
+// collection empties the pool. θ sits below the co-appearance plateau of
+// the 25-sensor communities, as in the benchmark's wide workload, so
+// healthy sensors are not outliers.
 func TestStreamerWideRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1000-sensor stream")
@@ -386,27 +389,37 @@ func TestStreamerWideRoundAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		det, err := NewDetector(n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr := NewStreamer(det)
-		col := make([]float64, n)
-		p := 0
-		round := func() {
-			for i := 0; i < step || p < cfg.Window.W; i++ {
-				series.Column(p, col)
-				p++
-				if _, _, err := sr.Push(col); err != nil {
-					t.Fatal(err)
+		var slide float64
+		for _, every := range []int{0, 1} {
+			cfg.RefreshEvery = every
+			det, err := NewDetector(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := NewStreamer(det)
+			col := make([]float64, n)
+			p := 0
+			round := func() {
+				for i := 0; i < step || p < cfg.Window.W; i++ {
+					series.Column(p, col)
+					p++
+					if _, _, err := sr.Push(col); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		for range rounds + 2 { // let every reused buffer reach its size
-			round()
-		}
-		if allocs := testing.AllocsPerRun(rounds, round); allocs > 4 {
-			t.Fatalf("GOMAXPROCS %d: steady-state round allocates %v times, want ≤ 4", procs, allocs)
+			for range rounds + 2 { // let every reused buffer reach its size
+				round()
+			}
+			allocs := testing.AllocsPerRun(rounds, round)
+			if every == 0 {
+				if allocs > 4 {
+					t.Fatalf("GOMAXPROCS %d: steady-state round allocates %v times, want ≤ 4", procs, allocs)
+				}
+				slide = allocs
+			} else if allocs > slide+2 {
+				t.Fatalf("GOMAXPROCS %d: refresh round allocates %v times, a slide round %v; want ≤ %v", procs, allocs, slide, slide+2)
+			}
 		}
 	}
 }
@@ -499,14 +512,13 @@ func BenchmarkStreamerPushBuffer(b *testing.B) {
 // S=4 stream set up like the benchmark's wide workload (40 simulated
 // communities, k=10, τ=0.4, θ below the co-appearance plateau): the
 // round's four pushes, then the sweep that slides, derives and selects the
-// triangle's rows, Louvain and the advance. Refreshes are kept out. Run it
-// with -cpu 1,2 to see the sweep's split.
+// triangle's rows, Louvain and the advance. The slide case keeps refreshes
+// out; the refresh case refreshes every round (RefreshEvery = 1), so its
+// sweep sums each row exactly instead of sliding it. Both report the
+// rounds' mean Refresh and TSGBuild stage times. Run it with -cpu 1,2 to
+// see the sweep's split.
 func BenchmarkStreamerRound(b *testing.B) {
 	const n, w, step = 1000, 64, 4
-	cfg := testConfig()
-	cfg.Window = mts.Windowing{W: w, S: step}
-	cfg.K, cfg.Tau, cfg.Theta = 10, 0.4, 0.018
-	cfg.RefreshEvery = 1 << 30
 	gen, err := simulator.New(simulator.Config{Seed: 19, Sensors: n, Communities: 40, Length: w + 64*step})
 	if err != nil {
 		b.Fatal(err)
@@ -516,27 +528,57 @@ func BenchmarkStreamerRound(b *testing.B) {
 	for p := range cols {
 		cols[p] = series.Column(p, nil)
 	}
-	det, err := NewDetector(n, cfg)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		every int
+	}{{"slide", 1 << 30}, {"refresh", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := testConfig()
+			cfg.Window = mts.Windowing{W: w, S: step}
+			cfg.K, cfg.Tau, cfg.Theta = 10, 0.4, 0.018
+			cfg.RefreshEvery = bc.every
+			det, err := NewDetector(n, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sr := NewStreamer(det)
+			p := 0
+			push := func() {
+				if _, _, err := sr.Push(cols[p%len(cols)]); err != nil {
+					b.Fatal(err)
+				}
+				p++
+			}
+			for p < w+4*step { // the first round and a few steady ones
+				push()
+			}
+			var st stageSum
+			det.SetObserver(&st)
+			b.ReportAllocs()
+			for b.Loop() {
+				for range step {
+					push()
+				}
+			}
+			if st.rounds > 0 {
+				per := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(st.rounds) }
+				b.ReportMetric(per(st.refresh), "refresh-ms/op")
+				b.ReportMetric(per(st.build), "tsgbuild-ms/op")
+			}
+		})
 	}
-	sr := NewStreamer(det)
-	p := 0
-	push := func() {
-		if _, _, err := sr.Push(cols[p%len(cols)]); err != nil {
-			b.Fatal(err)
-		}
-		p++
-	}
-	for p < w+4*step { // the first round and a few steady ones
-		push()
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for range step {
-			push()
-		}
-	}
+}
+
+// stageSum adds up the observed rounds' Refresh and TSGBuild stage times.
+type stageSum struct {
+	refresh, build time.Duration
+	rounds         int
+}
+
+func (s *stageSum) ObserveRound(_ RoundReport, st StageTimings, _, _ float64) {
+	s.refresh += st.Refresh
+	s.build += st.TSGBuild
+	s.rounds++
 }
 
 // refreshLog records each observed round's refresh time by round.
@@ -618,8 +660,8 @@ func TestStreamerFirstRoundRefresh(t *testing.T) {
 
 // BenchmarkStreamerFill times an n=1000, w=64 stream from its creation
 // through its first round: the pushes that fill the ring, then the round
-// that sums the window and builds the first TSG. Run it with -cpu 1,2 to
-// see the refresh's parallel split.
+// whose sweep sums the window and builds the first TSG. Run it with
+// -cpu 1,2 to see the sweep's split.
 func BenchmarkStreamerFill(b *testing.B) {
 	const n, w = 1000, 64
 	cfg := testConfig()

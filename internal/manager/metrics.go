@@ -25,9 +25,9 @@ func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 	l := obs.Label{Name: "stream", Value: stream}
 	return &detectorMetrics{
 		refresh: reg.Histogram("cad_corr_refresh_seconds",
-			"Time summing the window's correlation sums exactly, on the rounds that do.", obs.DefBuckets, l),
+			"Time preparing an exact refresh of the window's correlation sums, on the rounds that do: the O(n·w) pre-pass of deviations and norms; the pair sums are summed in the TSG sweep.", obs.DefBuckets, l),
 		tsgBuild: reg.Histogram("cad_tsg_build_seconds",
-			"Time of each round's sweep over the correlation sums: the pending slides, the derived correlations and the Time-Series Graph selection and link.", obs.DefBuckets, l),
+			"Time of each round's sweep over the correlation sums: the pending slides, or on refresh rounds the exact pair sums, the derived correlations and the Time-Series Graph selection and link.", obs.DefBuckets, l),
 		warm: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,
 			obs.Label{Name: "path", Value: "warm"}),
 		cold: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,

@@ -87,8 +87,10 @@
 // Every handler is wrapped in obs.Middleware, so the /metrics endpoint
 // exports per-endpoint request counts (http_requests_total), latencies
 // (http_request_duration_seconds), and an in-flight gauge alongside the
-// per-stream detector pipeline metrics: cad_corr_refresh_seconds,
-// cad_tsg_build_seconds, cad_louvain_seconds{path="warm|cold"},
+// per-stream detector pipeline metrics: cad_corr_refresh_seconds (an exact
+// refresh's pre-pass), cad_tsg_build_seconds (the round's one sweep over
+// the correlation sums, a refresh's pair sums included),
+// cad_louvain_seconds{path="warm|cold"},
 // cad_advance_seconds, cad_rounds_total, cad_alarms_total,
 // cad_round_variations, cad_history_mu, cad_history_sigma (all labeled
 // {stream}), the registry metrics
@@ -430,15 +432,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Subsystems["cluster"] = SubsystemStatus{Status: "ok"}
 	}
 	writeJSON(w, status, resp)
-}
-
-// finiteOrZero maps NaN/Inf (e.g. μ before any round) to 0 so the status
-// payload stays valid JSON.
-func finiteOrZero(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	return x
 }
 
 // firstNonFinite returns the index of the first NaN/±Inf reading, or -1.

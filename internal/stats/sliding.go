@@ -2,8 +2,8 @@ package stats
 
 import (
 	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // slidingConstEps is the relative threshold below which a sensor's summed
@@ -32,30 +32,34 @@ const slidingConstEps = 1e-12
 // consumed. Both leave the bits of one Slide per step.
 //
 // Floating-point drift accumulates in the sums as columns slide through, at
-// roughly one ulp per update. Callers bound it by calling Refresh
-// periodically (the Streamer sums its first round's window with Refresh
-// and refreshes every Config.RefreshEvery rounds after), which recomputes
-// the sums exactly and re-anchors ref to the current window; between
-// refreshes the derived correlations stay within ~1e-12 of the exact
-// two-pass values, comfortably inside the 1e-9 contract the incremental
-// detection path tests against.
+// roughly one ulp per update. Callers bound it by refreshing periodically
+// (the Streamer sums its first round's window exactly and refreshes every
+// Config.RefreshEvery rounds after), which recomputes the sums exactly and
+// re-anchors ref to the current window; between refreshes the derived
+// correlations stay within ~1e-12 of the exact two-pass values, comfortably
+// inside the 1e-9 contract the incremental detection path tests against.
+// A RefreshRows view sums each row just before deriving it, so a refresh
+// round too passes over the triangle once.
 //
-// A SlidingCorr is not safe for concurrent use, except that a Rows view
-// may derive distinct rows concurrently.
+// A SlidingCorr is not safe for concurrent use, except that a view may
+// derive distinct rows concurrently.
 type SlidingCorr struct {
 	n, w  int
 	count int       // columns currently summed (≤ w)
 	ref   []float64 // per-sensor shift, anchored at first Push and each Refresh
 	sx    []float64 // Σ (x_i − ref_i) per sensor
 	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen)
-	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of Rows, 0 if constant
+	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of a view, 0 if constant
 	row   []float64 // scratch: one derived correlation row, for Corr
 	dev   []float64 // scratch: Slide's one pending step
-	// The round view Rows returns: pend holds the steps its rows still
-	// apply as they are derived, and rsx the per-sensor sums with every
-	// one of them applied.
-	pend []float64
-	rsx  []float64
+	// A view: pend holds the steps its rows still apply, rsx the sums with
+	// all of them applied; a refresh view (buf set) sums its rows instead
+	// from refDev, the deviations (sensor i's at refDev[i·count:]) in buf.
+	pend     []float64
+	rsx      []float64
+	buf      *[]float64
+	refDev   []float64
+	unsummed atomic.Int64
 	// corr is the materialized matrix Corr returns, allocated on its first
 	// call and reused after; the round path never builds it.
 	corr [][]float64
@@ -147,9 +151,9 @@ func (c *SlidingCorr) Slide(newCol, oldCol []float64) {
 // oldCol (leaving) to pend and returns the extended slice. A pending list
 // of m steps is 2·m·n values, step k's entering deviations at
 // pend[2k·n:(2k+1)·n] and its leaving ones right after. Apply, or a Rows
-// view swept row by row, applies it; a Refresh makes it void, since the
+// view swept row by row, applies it; a refresh makes it void, since the
 // window it rebuilds from already holds every pending column and the
-// deviations are taken against the reference Refresh replaces.
+// deviations are taken against the reference a refresh replaces.
 func (c *SlidingCorr) Defer(pend, newCol, oldCol []float64) []float64 {
 	for _, col := range [2][]float64{newCol, oldCol} {
 		for i, x := range col[:c.n] {
@@ -219,137 +223,96 @@ func (c *SlidingCorr) slidCell(i, j int, pend []float64) float64 {
 }
 
 // Refresh recomputes the sums exactly from the window's current rows,
-// discarding any drift the incremental updates accumulated, and re-anchors
-// the shift reference to the window's first column. rows[i] must be sensor
-// i's current window values in time order, every row the same length.
-//
-// Every sum is accumulated from zero over the window in time order, the
-// order Push adds columns in, so Refresh over w columns leaves exactly the
-// bits w Pushes into an empty accumulator would. Each sensor's deviations
-// are computed once into pooled scratch, and the pair sums are dot products
-// of those rows, four pairs at a time; a window with more than
-// refreshParallelWork multiply-adds splits the triangle's rows across
-// GOMAXPROCS goroutines, which changes no cell's summation order.
+// discarding any drift the incremental updates accumulated: it reads every
+// row of a RefreshRows view in turn.
 func (c *SlidingCorr) Refresh(rows [][]float64) {
-	workers := 1
-	if c.n > 0 && PackedLen(c.n)*len(rows[0]) > refreshParallelWork {
-		workers = runtime.GOMAXPROCS(0)
+	for i, v := 0, c.RefreshRows(rows); i < c.n; i++ {
+		v.UpperRow(i, c.row)
 	}
-	c.refresh(rows, workers)
 }
 
-// refreshParallelWork is the number of pair multiply-adds, PackedLen(n)·w,
-// above which Refresh goes parallel: about 0.2 ms of serial work, so the
-// n=32 streams of a fleet never start a goroutine while an n=1000, w=64
-// window (32M) splits.
-const refreshParallelWork = 1 << 20
-
-// devBufs recycles Refresh's n×w deviation scratch, so an accumulator keeps
-// no window-sized buffer between refreshes.
+// devBufs recycles a refresh view's n×w deviation scratch, so an
+// accumulator keeps no window-sized buffer between refreshes.
 var devBufs = sync.Pool{New: func() any { return new([]float64) }}
 
-// refresh is Refresh with the triangle's rows split across workers
-// goroutines.
-func (c *SlidingCorr) refresh(rows [][]float64, workers int) {
-	n, w := c.n, 0
-	if n > 0 {
-		w = len(rows[0])
+// RefreshRows is Rows for an exact refresh from the window's rows, rows[i]
+// sensor i's in time order. Its O(n·w) pre-pass re-anchors ref to the
+// window's first column, sets the count and Σd, writes the deviations into
+// pooled scratch and takes the norms from the summed diagonal; deriving
+// row i first sums its pair sums. Every sum runs from zero in time order,
+// Push's order, so once every row is read the sums hold the bits w Pushes
+// into an empty accumulator leave and the scratch is back in the pool.
+// Pending steps (see Defer) are void: the window holds their columns.
+func (c *SlidingCorr) RefreshRows(rows [][]float64) CorrRows {
+	n := c.n
+	if n == 0 {
+		c.count = 0
+		return CorrRows{c} // no row to sum, so no scratch to take
 	}
+	w := len(rows[0])
 	c.count = w
-	buf := devBufs.Get().(*[]float64)
-	defer devBufs.Put(buf)
-	if cap(*buf) < n*w {
-		*buf = make([]float64, n*w)
+	if c.buf == nil {
+		c.buf = devBufs.Get().(*[]float64)
 	}
-	dev := (*buf)[:n*w]
+	if cap(*c.buf) < n*w {
+		*c.buf = make([]float64, n*w)
+	}
+	c.refDev = (*c.buf)[:n*w]
 	for i, ri := range rows[:n] {
-		var ref float64
+		var ref, s, ss float64
 		if w > 0 {
 			ref = ri[0]
 		}
 		c.ref[i] = ref
-		di := dev[i*w : (i+1)*w]
-		var s float64
+		di := c.refDev[i*w : (i+1)*w]
 		for u, x := range ri[:w] {
 			di[u] = x - ref
 			s += di[u]
+			ss += di[u] * di[u]
 		}
 		c.sx[i] = s
+		c.norm(i, s, ss)
 	}
-	// The caller sums the first block itself.
-	var wg sync.WaitGroup
-	blocks := SplitRows(nil, n, workers)
-	for b := 1; b+1 < len(blocks); b++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			c.sumRows(dev, w, lo, hi)
-		}(blocks[b], blocks[b+1])
-	}
-	c.sumRows(dev, w, blocks[0], blocks[1])
-	wg.Wait()
+	c.unsummed.Store(int64(n))
+	return CorrRows{c}
 }
 
-// SplitRows splits the rows of an n-row packed triangle into at most
-// blocks runs of consecutive rows holding about equal numbers of cells, for
-// a sweep over the triangle that gives each run to its own goroutine. It
-// appends the run boundaries to bounds[:0] and returns it: run b is rows
-// [bounds[b], bounds[b+1]). Every run is non-empty, except the single one
-// of an empty triangle.
-func SplitRows(bounds []int, n, blocks int) []int {
-	bounds = append(bounds[:0], 0)
-	lo, cells, total := 0, 0, PackedLen(n)
-	for b := 1; b < blocks && lo < n; b++ {
-		hi := lo
-		for hi < n && cells < total*b/blocks {
-			cells += n - hi
-			hi++
+// sumRow writes row i's pair sums from the refresh view's deviations, each
+// cell dot's sum of its two rows, four cells at a time so each of sensor
+// i's deviations is loaded once per four products. The partner rows are
+// resliced to len(di) so the inner loops carry no bounds checks.
+func (c *SlidingCorr) sumRow(i int) {
+	n, w, dev := c.n, c.count, c.refDev
+	di := dev[i*w : (i+1)*w]
+	row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
+	j := i
+	for ; j+4 <= n; j += 4 {
+		d0 := dev[j*w : (j+1)*w][:len(di)]
+		d1 := dev[(j+1)*w : (j+2)*w][:len(di)]
+		d2 := dev[(j+2)*w : (j+3)*w][:len(di)]
+		d3 := dev[(j+3)*w : (j+4)*w][:len(di)]
+		var s0, s1, s2, s3 float64
+		for u, a := range di {
+			s0 += a * d0[u]
+			s1 += a * d1[u]
+			s2 += a * d2[u]
+			s3 += a * d3[u]
 		}
-		if hi > lo {
-			bounds = append(bounds, hi)
-			lo = hi
-		}
+		row[j-i], row[j-i+1], row[j-i+2], row[j-i+3] = s0, s1, s2, s3
 	}
-	if lo < n || n == 0 {
-		bounds = append(bounds, n)
+	for ; j < n; j++ {
+		row[j-i] = dot(di, dev[j*w:(j+1)*w])
 	}
-	return bounds
 }
 
-// sumRows writes the pair sums of triangle rows [lo, hi) from the
-// deviation rows dev (sensor i's at dev[i·w:(i+1)·w]), four cells of a
-// row at a time so each of sensor i's deviations is loaded once per four
-// products. The partner rows are resliced to len(di) so the inner loops
-// carry no bounds checks.
-func (c *SlidingCorr) sumRows(dev []float64, w, lo, hi int) {
-	n := c.n
-	for i := lo; i < hi; i++ {
-		di := dev[i*w : (i+1)*w]
-		row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
-		j := i
-		for ; j+4 <= n; j += 4 {
-			d0 := dev[j*w : (j+1)*w][:len(di)]
-			d1 := dev[(j+1)*w : (j+2)*w][:len(di)]
-			d2 := dev[(j+2)*w : (j+3)*w][:len(di)]
-			d3 := dev[(j+3)*w : (j+4)*w][:len(di)]
-			var s0, s1, s2, s3 float64
-			for u, a := range di {
-				s0 += a * d0[u]
-				s1 += a * d1[u]
-				s2 += a * d2[u]
-				s3 += a * d3[u]
-			}
-			row[j-i], row[j-i+1], row[j-i+2], row[j-i+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			dj := dev[j*w : (j+1)*w][:len(di)]
-			var s float64
-			for u, a := range di {
-				s += a * dj[u]
-			}
-			row[j-i] = s
-		}
+// dot returns Σ a[u]·b[u] summed in order from zero.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for u, x := range a {
+		s += x * b[u]
 	}
+	return s
 }
 
 // Rows prepares one round of correlation reads from the current sums with
@@ -361,39 +324,51 @@ func (c *SlidingCorr) sumRows(dev []float64, w, lo, hi int) {
 // first applies pend to that row's pair sums and to sensor i's deviation
 // sum, in place, so a view over pending steps is a single sweep: each row
 // is read once, and At is read before the rows it touches are. Once every
-// row is read the sums hold the bits Apply(pend) leaves. The view stays
-// valid until the accumulator next changes or Rows is called again.
+// row is read the sums hold the bits Apply(pend) leaves. A view stays
+// valid until the accumulator next changes or a view is prepared again.
 func (c *SlidingCorr) Rows(pend []float64) CorrRows {
-	w := float64(c.count)
-	c.pend = pend
+	c.pend, c.buf, c.refDev = pend, nil, nil
 	for i := 0; i < c.n; i++ {
-		sx := c.slidSum(i, pend)
-		ss := c.slidCell(i, i, pend)
-		c.rsx[i] = sx
-		v := w*ss - sx*sx
-		// Relative constancy test: v is the difference of the two
-		// magnitude terms, so residue ~ulp·scale means a constant row.
-		if scale := w*ss + sx*sx; v <= slidingConstEps*scale {
-			c.inv[i] = 0
-		} else {
-			c.inv[i] = 1 / math.Sqrt(v)
-		}
+		c.norm(i, c.slidSum(i, pend), c.slidCell(i, i, pend))
 	}
 	return CorrRows{c}
 }
 
-// CorrRows is one round's read view of a SlidingCorr; see SlidingCorr.Rows.
+// norm records sensor i's deviation sum sx for a view and, from it and
+// the sensor's diagonal pair sum ss, its inverse norm, 0 if constant.
+func (c *SlidingCorr) norm(i int, sx, ss float64) {
+	w := float64(c.count)
+	c.rsx[i] = sx
+	v := w*ss - sx*sx
+	// Relative constancy test: v is the difference of the two magnitude
+	// terms, so residue ~ulp·scale means a constant row.
+	if scale := w*ss + sx*sx; v <= slidingConstEps*scale {
+		c.inv[i] = 0
+	} else {
+		c.inv[i] = 1 / math.Sqrt(v)
+	}
+}
+
+// CorrRows is one round's read view of a SlidingCorr; see SlidingCorr.Rows
+// and SlidingCorr.RefreshRows.
 type CorrRows struct{ c *SlidingCorr }
 
 // UpperRow writes the correlations r(i, j) for j = i+1, …, n−1 into
 // dst[:n−1−i] and returns that slice, with the same conventions as
 // PearsonMatrix: values are clamped to [-1, 1], and every pair involving a
 // constant (zero-variance) sensor is 0. Row i's pending steps are applied
-// first (see Rows). Calls for distinct rows may run concurrently.
+// first, or a refresh view sums the row first, the last one summed
+// returning the scratch. Calls for distinct rows may run concurrently.
 func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 	c := r.c
 	n := c.n
-	if len(c.pend) > 0 {
+	if c.buf != nil {
+		c.sumRow(i)
+		if c.unsummed.Add(-1) == 0 {
+			devBufs.Put(c.buf)
+			c.buf, c.refDev = nil, nil
+		}
+	} else if len(c.pend) > 0 {
 		c.slideRow(i, c.pend)
 		c.sx[i] = c.rsx[i]
 	}
@@ -419,13 +394,20 @@ func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 }
 
 // At returns the single correlation r(i, j), i < j: the value UpperRow(i)
-// derives for j, bit for bit, provided row i has not been read yet.
+// derives for j, bit for bit, provided row i has not been read yet (on a
+// refresh view, from the dot product UpperRow(i) sums for the cell).
 func (r CorrRows) At(i, j int) float64 {
 	c := r.c
 	if c.inv[i] == 0 || c.inv[j] == 0 {
 		return 0
 	}
-	return pearson(float64(c.count), c.slidCell(i, j, c.pend), c.rsx[i], c.rsx[j], c.inv[i], c.inv[j])
+	var s float64
+	if w := c.count; c.buf != nil {
+		s = dot(c.refDev[i*w:(i+1)*w], c.refDev[j*w:(j+1)*w])
+	} else {
+		s = c.slidCell(i, j, c.pend)
+	}
+	return pearson(float64(c.count), s, c.rsx[i], c.rsx[j], c.inv[i], c.inv[j])
 }
 
 // pearson derives one correlation from the window's column count w, the

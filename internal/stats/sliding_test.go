@@ -359,8 +359,7 @@ func sameState(t *testing.T, what string, a, b *SlidingCorr) {
 
 // TestSlidingCorrRefreshMatchesPush: Refresh over a window leaves exactly
 // the bits of pushing its columns into an empty accumulator, whatever the
-// refreshed accumulator held before, on both sides of the parallel
-// threshold (n=257, w=64 is above it).
+// refreshed accumulator held before.
 func TestSlidingCorrRefreshMatchesPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 3, 4, 5, 32, 257} {
@@ -385,51 +384,41 @@ func TestSlidingCorrRefreshMatchesPush(t *testing.T) {
 	}
 }
 
-// TestSlidingCorrRefreshSplit: every row split of the triangle sums each
-// cell exactly as the serial kernel does, with more workers than rows too.
-func TestSlidingCorrRefreshSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, shape := range [][2]int{{5, 3}, {13, 17}, {257, 3}} {
-		n, w := shape[0], shape[1]
-		rows := randomRows(rng, n, w)
-		serial := NewSlidingCorr(n, w)
-		serial.refresh(rows, 1)
-		for _, workers := range []int{2, 3, 4, 7, 2 * n} {
-			split := NewSlidingCorr(n, w)
-			split.refresh(rows, workers)
-			sameState(t, fmt.Sprintf("n=%d w=%d workers=%d", n, w, workers), split, serial)
-		}
+// TestSlidingCorrRefreshReturnsScratch: once every row of a refresh view
+// is read, serially or from several goroutines at once, the accumulator
+// holds no deviation scratch, so a stream keeps no n×w buffer between
+// rounds. A refresh over empty windows zeroes every sum, as no Push does.
+func TestSlidingCorrRefreshReturnsScratch(t *testing.T) {
+	const n, w = 40, 16
+	rng := rand.New(rand.NewSource(5))
+	rows := randomRows(rng, n, w)
+	c := NewSlidingCorr(n, w)
+	c.Refresh(rows)
+	if c.buf != nil || c.refDev != nil {
+		t.Fatal("Refresh kept its deviation scratch")
 	}
-}
-
-// TestSlidingCorrRefreshConcurrent runs parallel refreshes of separate
-// accumulators at once; under -race it checks the workers of one refresh
-// share nothing with another's.
-func TestSlidingCorrRefreshConcurrent(t *testing.T) {
-	const n, w, streams = 200, 64, 4
-	if PackedLen(n)*w <= refreshParallelWork {
-		t.Fatalf("n=%d, w=%d is below the parallel threshold", n, w)
+	empty := NewSlidingCorr(n, 0)
+	empty.Push(randomRows(rng, 1, n)[0])
+	empty.Refresh(randomRows(rng, n, 0))
+	sameState(t, "empty windows", empty, NewSlidingCorr(n, 0))
+	if empty.buf != nil {
+		t.Fatal("a refresh over empty windows kept its scratch")
 	}
-	rng := rand.New(rand.NewSource(8))
-	var (
-		wg   sync.WaitGroup
-		accs [streams]*SlidingCorr
-		wins [streams][][]float64
-	)
-	for k := range accs {
-		wins[k] = randomRows(rng, n, w)
-		accs[k] = NewSlidingCorr(n, w)
+	view := c.RefreshRows(rows)
+	var wg sync.WaitGroup
+	for g := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			accs[k].refresh(wins[k], 3)
+			buf := make([]float64, n)
+			for i := g; i < n; i += 4 {
+				view.UpperRow(i, buf)
+			}
 		}()
 	}
 	wg.Wait()
-	for k, acc := range accs {
-		serial := NewSlidingCorr(n, w)
-		serial.refresh(wins[k], 1)
-		sameState(t, fmt.Sprintf("stream %d", k), acc, serial)
+	if c.buf != nil || c.refDev != nil {
+		t.Fatal("a refresh view read by four goroutines kept its deviation scratch")
 	}
 }
 
@@ -498,7 +487,7 @@ func TestSlidingCorrSweepMatchesSlides(t *testing.T) {
 				}
 			}
 			got := make([][]float64, n)
-			blocks := SplitRows(nil, n, 3)
+			blocks := []int{0, n / 3, 2 * n / 3, n}
 			var wg sync.WaitGroup
 			for b := 0; b+1 < len(blocks); b++ {
 				wg.Add(1)
@@ -526,30 +515,9 @@ func TestSlidingCorrSweepMatchesSlides(t *testing.T) {
 	}
 }
 
-// TestSplitRows: the runs cover the rows in order, none is empty, there
-// are at most the asked-for number, and their cell counts are about equal.
-func TestSplitRows(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5, 100, 1000} {
-		for _, blocks := range []int{1, 2, 3, 7, 2*n + 1} {
-			b := SplitRows(nil, n, blocks)
-			if b[0] != 0 || b[len(b)-1] != n || len(b)-1 > max(blocks, 1) {
-				t.Fatalf("n=%d blocks=%d: bounds %v", n, blocks, b)
-			}
-			for k := 1; k < len(b); k++ {
-				if b[k] <= b[k-1] && n > 0 {
-					t.Fatalf("n=%d blocks=%d: empty run in %v", n, blocks, b)
-				}
-				cells := PackedLen(n-b[k-1]) - PackedLen(n-b[k])
-				if n >= 100 && blocks <= 7 && math.Abs(float64(cells)-float64(PackedLen(n))/float64(len(b)-1)) > float64(n) {
-					t.Fatalf("n=%d blocks=%d: run %d holds %d cells of %d", n, blocks, k-1, cells, PackedLen(n))
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkSlidingCorrRefresh times one exact refresh of an n=1000, w=64
-// window; run it with -cpu 1,2 to see the parallel split.
+// window, read serially; a streaming round sums it inside the TSG
+// repair's sweep instead (BenchmarkStreamerRound/refresh).
 func BenchmarkSlidingCorrRefresh(b *testing.B) {
 	const n, w = 1000, 64
 	rows := randomRows(rand.New(rand.NewSource(1)), n, w)

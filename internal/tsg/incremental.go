@@ -4,8 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-
-	"cad/internal/stats"
 )
 
 // Triangle is a symmetric correlation matrix read through its strict upper
@@ -17,7 +15,8 @@ import (
 // Repair reads a Triangle in one sweep: every At call first, then each row
 // exactly once, distinct rows possibly from several goroutines at once.
 // An implementation may therefore do per-row work when a row is read, such
-// as finishing the row's pending updates.
+// as finishing the row's pending updates or summing the row exactly, and so
+// have Repair's sweep share that work out among its goroutines.
 type Triangle interface {
 	UpperRow(i int, dst []float64) []float64
 	At(i, j int) float64
@@ -225,7 +224,7 @@ func (inc *Incremental) repair(corr Triangle, workers int) (structural int) {
 		own.floor[u] = inc.seedFloor(u, corr)
 	}
 	sw.corr = corr
-	sw.chunks = stats.SplitRows(sw.chunks, n, workers*sweepChunks)
+	sw.chunks = splitRows(sw.chunks, n, workers*sweepChunks)
 	sw.next.Store(0)
 	extra := min(workers, len(sw.chunks)-1) - 1
 	for len(inc.helpers) < extra {
@@ -335,6 +334,26 @@ func (c *cands) offer(u, v int, w float64) {
 	if len(set) == k {
 		c.floor[u] = math.Abs(set[k-1].w)
 	}
+}
+
+// splitRows splits the rows of an n-row packed triangle, diagonal included,
+// into at most blocks runs of consecutive rows holding about equal numbers
+// of cells. It appends the run boundaries to bounds[:0] and returns it:
+// run b is rows [bounds[b], bounds[b+1]). Every run is non-empty, except
+// the single one of an empty triangle.
+func splitRows(bounds []int, n, blocks int) []int {
+	bounds = append(bounds[:0], 0)
+	for i, cells := 0, 0; i < n; i++ {
+		cells += n - i
+		// A run ends at the first row that reaches its share of the cells.
+		if cells*blocks >= len(bounds)*n*(n+1)/2 || i == n-1 {
+			bounds = append(bounds, i+1)
+		}
+	}
+	if n == 0 {
+		bounds = append(bounds, 0)
+	}
+	return bounds
 }
 
 // sortByID orders a candidate set by neighbor id. Sets hold K entries, so a

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"cad/internal/stats"
 )
 
 // randCorr returns a random symmetric matrix with unit diagonal and entries
@@ -399,6 +401,144 @@ func TestIncrementalRepairSplitConcurrent(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// windowRows returns n sensors' windows of w readings with large offsets,
+// in the layout SlidingCorr.Refresh reads.
+func windowRows(rng *rand.Rand, n, w int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, w)
+		for u := range rows[i] {
+			rows[i][u] = 1e3*float64(i%7) + rng.NormFloat64()
+		}
+	}
+	return rows
+}
+
+// refreshRound sweeps a refresh view of rows on acc through inc with the
+// sweep shared among workers goroutines, and checks that acc then holds
+// the bits of a serial Refresh and inc the graph FromCorrelation builds
+// from them.
+func refreshRound(inc *Incremental, acc *stats.SlidingCorr, rows [][]float64, workers int) error {
+	inc.repair(acc.RefreshRows(rows), workers)
+	serial := stats.NewSlidingCorr(acc.Sensors(), acc.Window())
+	serial.Refresh(rows)
+	ra, sa, pa, ca := acc.State()
+	rs, ss, ps, cs := serial.State()
+	if ca != cs {
+		return fmt.Errorf("count %d, serial %d", ca, cs)
+	}
+	for _, p := range [][2][]float64{{ra, rs}, {sa, ss}, {pa, ps}} {
+		for k := range p[0] {
+			if math.Float64bits(p[0][k]) != math.Float64bits(p[1][k]) {
+				return fmt.Errorf("sum %d is %v, serial %v", k, p[0][k], p[1][k])
+			}
+		}
+	}
+	batch, err := inc.b.FromCorrelation(serial.Corr())
+	if err != nil {
+		return err
+	}
+	return sameGraph(inc.Graph(), batch)
+}
+
+// TestSlidingCorrRefreshSplit: a refresh view swept by Repair with its
+// rows shared among one to eight goroutines, more than there are rows
+// included, sums every cell as a serial Refresh does and selects the graph
+// FromCorrelation builds from those sums, on a fresh graph and on one
+// whose previous selection seeds the floors through At. Every At taken
+// before a sweep equals the cell UpperRow derives.
+func TestSlidingCorrRefreshSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, shape := range [][2]int{{5, 3}, {13, 17}, {257, 3}, {257, 64}} {
+		n, w := shape[0], shape[1]
+		b := Builder{K: min(5, n-1), Tau: 0.2}
+		wins := [][][]float64{windowRows(rng, n, w), windowRows(rng, n, w)}
+		stale := windowRows(rng, 1, n)[0]
+		for workers := 1; workers <= 8; workers++ {
+			inc, acc := newIncremental(b, n), stats.NewSlidingCorr(n, w)
+			acc.Push(stale) // sums the refresh must discard
+			for r, rows := range wins {
+				if err := refreshRound(inc, acc, rows, workers); err != nil {
+					t.Fatalf("n=%d w=%d workers=%d round %d: %v", n, w, workers, r, err)
+				}
+			}
+		}
+		view := stats.NewSlidingCorr(n, w).RefreshRows(wins[0])
+		at := make([][]float64, n)
+		for i := range at {
+			at[i] = make([]float64, n)
+			for j := i + 1; j < n; j++ {
+				at[i][j] = view.At(i, j)
+			}
+		}
+		buf := make([]float64, n)
+		for i := 0; i < n; i++ {
+			for t0, r := range view.UpperRow(i, buf) {
+				if j := i + 1 + t0; math.Float64bits(at[i][j]) != math.Float64bits(r) {
+					t.Fatalf("n=%d w=%d: At(%d, %d) = %v, UpperRow derives %v", n, w, i, j, at[i][j], r)
+				}
+			}
+		}
+	}
+}
+
+// TestSlidingCorrRefreshConcurrent sweeps refresh views of several
+// accumulators at once, each sweep split three ways; under -race it
+// checks that the goroutines of one refresh share nothing with another's,
+// the pooled deviation scratch included.
+func TestSlidingCorrRefreshConcurrent(t *testing.T) {
+	const n, w, streams, rounds = 200, 64, 4, 3
+	b := Builder{K: 6, Tau: 0.3}
+	rng := rand.New(rand.NewSource(8))
+	var wg sync.WaitGroup
+	errs := make([]error, streams)
+	for k := range streams {
+		wins := make([][][]float64, rounds)
+		for r := range wins {
+			wins[r] = windowRows(rng, n, w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inc, acc := newIncremental(b, n), stats.NewSlidingCorr(n, w)
+			for r, rows := range wins {
+				if err := refreshRound(inc, acc, rows, 3); err != nil {
+					errs[k] = fmt.Errorf("stream %d round %d: %w", k, r, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSplitRows: the runs cover the rows in order, none is empty, there
+// are at most the asked-for number, and their cell counts are about equal.
+func TestSplitRows(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 100, 1000} {
+		for _, blocks := range []int{1, 2, 3, 7, 2*n + 1} {
+			b := splitRows(nil, n, blocks)
+			if b[0] != 0 || b[len(b)-1] != n || len(b)-1 > max(blocks, 1) {
+				t.Fatalf("n=%d blocks=%d: bounds %v", n, blocks, b)
+			}
+			for k := 1; k < len(b); k++ {
+				if b[k] <= b[k-1] && n > 0 {
+					t.Fatalf("n=%d blocks=%d: empty run in %v", n, blocks, b)
+				}
+				cells := stats.PackedLen(n-b[k-1]) - stats.PackedLen(n-b[k])
+				if n >= 100 && blocks <= 7 && math.Abs(float64(cells)-float64(stats.PackedLen(n))/float64(len(b)-1)) > float64(n) {
+					t.Fatalf("n=%d blocks=%d: run %d holds %d cells of %d", n, blocks, k-1, cells, stats.PackedLen(n))
+				}
+			}
 		}
 	}
 }
