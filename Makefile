@@ -97,7 +97,7 @@ bench:
 .PHONY: benchsmoke
 benchsmoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./internal/core/ ./internal/manager/ \
-		./internal/tsg/ ./internal/stats/ ./internal/louvain/
+		./internal/tsg/ ./internal/stats/ ./internal/louvain/ ./internal/serve/
 
 # fuzzsmoke fuzzes every Fuzz target of the root module for 5 s, one
 # target per invocation (go test -fuzz takes a single target); the plain

@@ -97,11 +97,12 @@ type Config struct {
 	//
 	// Deprecated: ignored; exact configs always stream incrementally.
 	Incremental bool
-	// RefreshEvery is the exact-refresh cadence of the round pipeline:
-	// every RefreshEvery rounds (counting warm-up) the Streamer — and so
-	// Detect and WarmUp — recomputes its sliding correlation sums from the
-	// raw window, discarding accumulated floating-point drift. Zero means
-	// the default of 64.
+	// RefreshEvery is the exact-refresh cycle of the round pipeline: the
+	// longest gap, in rounds, between two exact re-sums of any of the
+	// Streamer's sliding correlation sums from the raw window, which
+	// discard accumulated floating-point drift. Each round (counting
+	// warm-up) re-sums one of RefreshEvery stripes of rows, so Detect and
+	// WarmUp do too. Zero means the default of 64.
 	RefreshEvery int
 	// DisableVariationRule switches the abnormal-round criterion from the
 	// 3σ rule on n_r to a fixed count |O_r| ≥ FixedXi (ablation of §IV-E's

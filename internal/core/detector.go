@@ -320,7 +320,7 @@ func (d *Detector) ProcessCorr(corr [][]float64, dirty []bool) (RoundReport, err
 	if err := d.initTSG(); err != nil {
 		return RoundReport{}, err
 	}
-	return d.processTriangle(tsg.Dense(corr), 0), nil
+	return d.processTriangle(tsg.Dense(corr)), nil
 }
 
 // initTSG creates the TSG maintainer on the detector's first round. It is
@@ -335,10 +335,9 @@ func (d *Detector) initTSG() (err error) {
 
 // processTriangle is the exact streaming round, after initTSG, with each
 // stage timed: the correlations corr reads go straight to the TSG repair,
-// then warm-started Louvain and the co-appearance advance. refresh is the
-// time of the caller's refresh pre-pass, if it ran one.
-func (d *Detector) processTriangle(corr tsg.Triangle, refresh time.Duration) RoundReport {
-	st := StageTimings{Refresh: refresh}
+// then warm-started Louvain and the co-appearance advance.
+func (d *Detector) processTriangle(corr tsg.Triangle) RoundReport {
+	var st StageTimings
 	start := time.Now()
 	structural := d.incTSG.Repair(corr)
 	if d.prevOff != nil {

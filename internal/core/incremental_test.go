@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cad/internal/mts"
 	"cad/internal/simulator"
 	"cad/internal/stats"
+	"cad/internal/tsg"
 )
 
 func incConfig(refreshEvery int) Config {
@@ -249,8 +251,8 @@ func rewriteSnapshot(t testing.TB, snap []byte, edit func(*persistedStreamer)) *
 // the incremental path neither advances the detector nor desynchronizes the
 // correlation accumulator from the ring: the accumulator keeps sliding
 // through the failed attempt, so every completed round — the retry included —
-// sees the exact Pearson correlations of its window. RefreshEvery=2 puts the
-// failed attempt on a refresh round, so the retry runs the refresh.
+// sees the exact Pearson correlations of its window. RefreshEvery=2 gives
+// the failed attempt a stripe, which its retry re-sums.
 func TestIncrementalFailedRoundRetry(t *testing.T) {
 	series := synth(41, 3, 4, 120, nil, -1, -1)
 	det, err := NewDetector(12, incConfig(2))
@@ -363,6 +365,155 @@ func TestLoadStreamerRebuildsAccumulator(t *testing.T) {
 		}
 		if sameDecisions(t, fmt.Sprintf("version %d cut %d", c.version, cut), got, want.Rounds) == 0 {
 			t.Fatal("test has no power: Detect flagged no abnormal rounds")
+		}
+	}
+}
+
+// TestIncrementalCorrelationAccuracyDrift holds the streamer to
+// TestIncrementalCorrelationAccuracy's 1e-9 on a series whose mean drifts
+// by more than 10³ standard deviations over the run, so a sensor's shift
+// reference, re-anchored only at its stripe, falls hundreds of deviations
+// behind the window between two of its exact re-sums. Every round of two
+// full cycles is checked.
+func TestIncrementalCorrelationAccuracyDrift(t *testing.T) {
+	const every = 64
+	cfg := incConfig(every)
+	length := cfg.Window.W + 2*every*cfg.Window.S
+	series := synth(23, 3, 4, length, nil, -1, -1)
+	for i := 0; i < series.Sensors(); i++ {
+		row := series.Row(i)
+		sd := stats.StdDev(row)
+		slope := float64(1+i%3) * 1.2e3 * sd / float64(length) // ≥ 1.2·10³σ over the run
+		if i%2 == 1 {
+			slope = -slope
+		}
+		for p := range row {
+			row[p] += slope * float64(p)
+		}
+	}
+	det, err := NewDetector(series.Sensors(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := NewStreamer(det)
+	real := sr.round
+	var worst float64
+	rounds := 0
+	sr.round = func() (RoundReport, error) {
+		rep, err := real()
+		corr := sr.acc.Corr()
+		want, perr := stats.PearsonMatrix(sr.window().Rows())
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		for i := range corr {
+			for j := range corr[i] {
+				worst = max(worst, math.Abs(corr[i][j]-want[i][j]))
+			}
+		}
+		rounds++
+		return rep, err
+	}
+	pushAll(t, sr, series)
+	t.Logf("worst cell error %g over %d rounds", worst, rounds)
+	if rounds <= 2*every || worst > 1e-9 {
+		t.Fatalf("worst cell error %g over %d rounds, want ≤ 1e-9 over more than %d", worst, rounds, 2*every)
+	}
+}
+
+// TestStreamerStripeSchedule: right after each round, every row of the
+// round's stripe holds, bit for bit, an exact re-sum of the current window
+// in its current frame, its sensor's shift reference at the window's
+// oldest reading; the stripes of a cycle cover each row exactly once, so
+// each row is re-summed once every RefreshEvery rounds; and the first
+// round re-sums every row. n=730 is wide enough that the sweep splits
+// from GOMAXPROCS 2 on.
+func TestStreamerStripeSchedule(t *testing.T) {
+	const n = 730
+	for _, every := range []int{1, 8, 64} {
+		cfg := wideConfig(every)
+		cols := wideColumns(t, n, cfg.Window.W+2*every*cfg.Window.S)
+		stripes := tsg.SplitRows(nil, n, every)
+		covered := make([]int, n)
+		for k := 0; k+1 < len(stripes); k++ {
+			for i := stripes[k]; i < stripes[k+1]; i++ {
+				covered[i]++
+			}
+		}
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("RefreshEvery %d: row %d is in %d stripes of a cycle, want 1", every, i, c)
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("every=%d/procs=%d", every, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				det, err := NewDetector(n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sr := NewStreamer(det)
+				real := sr.round
+				rounds := 0
+				sr.round = func() (RoundReport, error) {
+					first := !sr.started
+					k := det.round % every
+					rep, err := real()
+					lo, hi := 0, n
+					if !first {
+						lo, hi = 0, 0
+						if k+1 < len(stripes) {
+							lo, hi = stripes[k], stripes[k+1]
+						}
+					}
+					checkExactRows(t, sr, lo, hi)
+					rounds++
+					return rep, err
+				}
+				for _, col := range cols {
+					if _, _, err := sr.Push(col); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rounds != 2*every+1 {
+					t.Fatalf("%d rounds, want %d", rounds, 2*every+1)
+				}
+			})
+		}
+	}
+}
+
+// checkExactRows fails unless rows [lo, hi) of sr's sums are exact re-sums
+// of its window, each sensor's deviations from its shift reference summed
+// from zero in time order, and those sensors' references are the window's
+// oldest readings.
+func checkExactRows(t *testing.T, sr *Streamer, lo, hi int) {
+	t.Helper()
+	win := sr.window()
+	ref, sx, sxy, _ := sr.acc.State()
+	n := len(ref)
+	for i := lo; i < hi; i++ {
+		xi := win.Row(i)
+		if ref[i] != xi[0] {
+			t.Fatalf("round %d: sensor %d ref %v, want the window's oldest reading %v", sr.det.round-1, i, ref[i], xi[0])
+		}
+		var s float64
+		for _, x := range xi {
+			s += x - ref[i]
+		}
+		if math.Float64bits(s) != math.Float64bits(sx[i]) {
+			t.Fatalf("round %d: Σd_%d = %v, exact %v", sr.det.round-1, i, sx[i], s)
+		}
+		off := i*n - i*(i-1)/2
+		for j := i; j < n; j++ {
+			xj := win.Row(j)
+			var e float64
+			for u, x := range xi {
+				e += (x - ref[i]) * (xj[u] - ref[j])
+			}
+			if got := sxy[off+j-i]; math.Float64bits(got) != math.Float64bits(e) {
+				t.Fatalf("round %d: sxy(%d,%d) = %v, exact %v", sr.det.round-1, i, j, got, e)
+			}
 		}
 	}
 }

@@ -7,14 +7,11 @@ import "time"
 // construction dominates on wide sensor arrays, Louvain on dense ones, and
 // the co-appearance advance is the cheap stateful tail.
 type StageTimings struct {
-	// Refresh is the time of an exact refresh's O(n·w) pre-pass over the
-	// window (deviations, sums and norms) on the first round and every
-	// RefreshEvery-th after it, zero otherwise; TSGBuild times its sums.
-	Refresh time.Duration
 	// TSGBuild is the time of the round's one sweep over the correlation
 	// sums: applying the slides of the columns pushed since the previous
-	// round, or summing a refresh's pair sums, deriving the correlations
-	// and selecting the Time-Series Graph's edges, then linking the graph.
+	// round and summing the round's stripe of rows exactly (every row on
+	// a stream's first round), deriving the correlations and selecting
+	// the Time-Series Graph's edges, then linking the graph.
 	TSGBuild time.Duration
 	// Louvain is the community-detection time.
 	Louvain time.Duration

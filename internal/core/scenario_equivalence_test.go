@@ -139,11 +139,11 @@ func TestScenarioRefreshCadenceInvariance(t *testing.T) {
 
 // TestStreamerSaveLoadMidWindow interrupts a streamer with save/load cycles
 // at ticks that are not round boundaries — one during warm-up, the others
-// mid-window between exact refreshes (RefreshEvery=8) — and checks that the
-// restored streamer continues with bit-identical reports and ends in a
+// mid-window and mid-cycle (RefreshEvery=8) — and checks that the restored
+// streamer continues with bit-identical reports and ends in a
 // byte-identical state: the partial window and the drifted sliding sums
-// must survive verbatim, and each refresh after a restore must fire at the
-// rounds an uninterrupted streamer refreshes at. The cut at tick 222 lands
+// must survive verbatim, and after a restore each stripe must be re-summed
+// at the rounds an uninterrupted streamer re-sums it at. The cut at tick 222 lands
 // before a round that warm-starts Louvain, and whose warm and cold
 // partitions differ in their community count: the restored detector must
 // take the warm path just as the uninterrupted one does.
@@ -157,6 +157,20 @@ func TestStreamerSaveLoadMidWindow(t *testing.T) {
 // corpus stream with a single mid-window cut after warm-up.
 func TestIncrementalSaveLoadBitIdentical(t *testing.T) {
 	saveLoadCuts(t, "crash-loop", 173)
+}
+
+// TestStreamerSaveLoadEveryStripe cuts a stream once before each round of
+// a cycle of 8 stripes, two columns into the round's step, so every
+// restore lands mid-cycle with slides pending and the next round re-sums
+// a different stripe.
+func TestStreamerSaveLoadEveryStripe(t *testing.T) {
+	// w=64, s=4: round r completes at tick 64+4r, so the cut at tick
+	// 64+4r+2 is two columns into round r+1's step, for r+1 = 16, …, 23.
+	var cuts []int
+	for r := 15; r < 23; r++ {
+		cuts = append(cuts, 64+4*r+2)
+	}
+	saveLoadCuts(t, "noisy-deploy", cuts...)
 }
 
 // saveLoadCuts streams a corpus scenario through a streamer with

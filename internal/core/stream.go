@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"cad/internal/mts"
 	"cad/internal/stats"
+	"cad/internal/tsg"
 )
 
 // Streamer feeds a Detector one time point at a time, emitting a RoundReport
@@ -20,7 +20,8 @@ import (
 // (stats.SlidingCorr), so a round repairs the TSG instead of recomputing
 // it at O(n²·w). A push only records its column's update; the round
 // applies a step's updates in the same sweep over the sums that derives
-// the correlations and selects the TSG.
+// the correlations and selects the TSG. The same sweep re-sums one stripe
+// of rows exactly from the ring, which bounds the updates' drift.
 //
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
@@ -48,11 +49,15 @@ type Streamer struct {
 	// slides (stats.SlidingCorr.Defer) of the columns pushed since the
 	// last round, which the next round's sweep applies; it has room for
 	// one step's worth, S slides. oldCol is scratch holding the column
-	// evicted from the ring by the current Push.
+	// evicted from the ring by the current Push. stripes cuts the
+	// triangle's rows into the refreshEvery stripes of the exact-sum
+	// cycle (see processCorr): stripe k is rows [stripes[k], stripes[k+1]),
+	// empty from k = len(stripes)−1 on.
 	acc          *stats.SlidingCorr
 	pend         []float64
 	oldCol       []float64
 	refreshEvery int
+	stripes      []int
 	// round processes the round the ring now holds; tests replace it to
 	// inject round failures.
 	round func() (RoundReport, error)
@@ -67,6 +72,10 @@ func NewStreamer(det *Detector) *Streamer {
 	for i := range ring {
 		ring[i] = backing[i*w : (i+1)*w]
 	}
+	every := det.cfg.RefreshEvery
+	if every <= 0 {
+		every = 64
+	}
 	s := &Streamer{
 		det:          det,
 		ring:         ring,
@@ -74,10 +83,8 @@ func NewStreamer(det *Detector) *Streamer {
 		acc:          stats.NewSlidingCorr(n, w),
 		pend:         make([]float64, 0, 2*det.cfg.Window.S*n),
 		oldCol:       make([]float64, n),
-		refreshEvery: det.cfg.RefreshEvery,
-	}
-	if s.refreshEvery <= 0 {
-		s.refreshEvery = 64
+		refreshEvery: every,
+		stripes:      tsg.SplitRows(nil, n, every),
 	}
 	s.round = s.processCorr
 	return s
@@ -159,29 +166,27 @@ func (s *Streamer) Push(col []float64) (rep RoundReport, ok bool, err error) {
 
 // processCorr runs one round: the maintained correlations go straight from
 // the accumulator's packed triangle to the detector's TSG repair, which
-// sweeps it once, sliding each row by the pending columns (or, on a
-// refresh round, summing it exactly from the ring), deriving it and
-// offering it for selection, so no n×n matrix is built.
+// sweeps it once, deriving each row and offering it for selection, so no
+// n×n matrix is built. The first round sums every row exactly from the
+// ring. Every later round slides each row by the pending columns, except
+// the rows of one stripe, which it sums exactly from the ring instead:
+// round r's is stripe r mod RefreshEvery, so every cell is re-summed
+// exactly once per RefreshEvery rounds and no round sums the whole
+// triangle. The stripe keys off the persisted round counter, so a
+// restored streamer re-sums exactly the rows a never-interrupted one
+// would — required for bit-identical replay.
 func (s *Streamer) processCorr() (RoundReport, error) {
 	if err := s.det.initTSG(); err != nil {
 		return RoundReport{}, err // the slides stay pending for the retry
 	}
-	// The first round sums the window exactly; later refreshes bound the
-	// slides' drift. The cadence keys off the persisted round counter, so
-	// a restored streamer refreshes at exactly the same rounds a
-	// never-interrupted one would — required for bit-identical replay. A
-	// refresh rebuilds every sum from the ring, which already holds the
-	// pending columns, so their slides are dropped.
-	var view stats.CorrRows
-	var refresh time.Duration
-	if !s.started || s.det.round%s.refreshEvery == 0 {
-		start := time.Now()
-		view = s.acc.RefreshRows(s.chronological())
-		refresh = time.Since(start)
-	} else {
-		view = s.acc.Rows(s.pend)
+	lo, hi := 0, s.det.Sensors()
+	if s.started {
+		lo, hi = 0, 0
+		if k := s.det.round % s.refreshEvery; k+1 < len(s.stripes) {
+			lo, hi = s.stripes[k], s.stripes[k+1]
+		}
 	}
-	rep := s.det.processTriangle(view, refresh)
+	rep := s.det.processTriangle(s.acc.StripeRows(s.pend, s.ring, s.pos, lo, hi))
 	s.pend = s.pend[:0]
 	return rep, nil
 }

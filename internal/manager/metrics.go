@@ -10,7 +10,6 @@ import (
 // round/alarm counters and the current n_r history statistics. Label
 // cardinality is bounded by the manager's stream capacity.
 type detectorMetrics struct {
-	refresh    *obs.Histogram
 	tsgBuild   *obs.Histogram
 	warm, cold *obs.Histogram // Louvain time by path
 	advance    *obs.Histogram
@@ -24,10 +23,8 @@ type detectorMetrics struct {
 func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 	l := obs.Label{Name: "stream", Value: stream}
 	return &detectorMetrics{
-		refresh: reg.Histogram("cad_corr_refresh_seconds",
-			"Time preparing an exact refresh of the window's correlation sums, on the rounds that do: the O(n·w) pre-pass of deviations and norms; the pair sums are summed in the TSG sweep.", obs.DefBuckets, l),
 		tsgBuild: reg.Histogram("cad_tsg_build_seconds",
-			"Time of each round's sweep over the correlation sums: the pending slides, or on refresh rounds the exact pair sums, the derived correlations and the Time-Series Graph selection and link.", obs.DefBuckets, l),
+			"Time of each round's sweep over the correlation sums: the pending slides and the round's stripe of exact pair sums, the derived correlations and the Time-Series Graph selection and link.", obs.DefBuckets, l),
 		warm: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,
 			obs.Label{Name: "path", Value: "warm"}),
 		cold: reg.Histogram("cad_louvain_seconds", louvainHelp, obs.DefBuckets, l,
@@ -51,12 +48,8 @@ func newDetectorMetrics(reg *obs.Registry, stream string) *detectorMetrics {
 // rounds warm-started from the previous partition from the cold ones.
 const louvainHelp = "Louvain community-detection time per round, by path: warm-started from the previous round's partition, or cold."
 
-// ObserveRound implements core.RoundObserver. Only refresh rounds feed
-// cad_corr_refresh_seconds, so its count is the number of refreshes.
+// ObserveRound implements core.RoundObserver.
 func (m *detectorMetrics) ObserveRound(rep core.RoundReport, t core.StageTimings, mu, sigma float64) {
-	if t.Refresh > 0 {
-		m.refresh.Observe(t.Refresh.Seconds())
-	}
 	m.tsgBuild.Observe(t.TSGBuild.Seconds())
 	if t.Warm {
 		m.warm.Observe(t.Louvain.Seconds())

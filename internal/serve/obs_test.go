@@ -45,11 +45,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	out := scrapeMetrics(t, h)
-	// 120 ticks at w=30, s=3 complete (120-30)/3+1 = 31 rounds; only the
-	// first sums its window exactly.
+	// 120 ticks at w=30, s=3 complete (120-30)/3+1 = 31 rounds.
 	for _, want := range []string{
-		"# TYPE cad_corr_refresh_seconds histogram",
-		`cad_corr_refresh_seconds_count{stream="default"} 1`,
 		"# TYPE cad_tsg_build_seconds histogram",
 		`cad_tsg_build_seconds_count{stream="default"} 31`,
 		`cad_advance_seconds_count{stream="default"} 31`,

@@ -87,9 +87,9 @@
 // Every handler is wrapped in obs.Middleware, so the /metrics endpoint
 // exports per-endpoint request counts (http_requests_total), latencies
 // (http_request_duration_seconds), and an in-flight gauge alongside the
-// per-stream detector pipeline metrics: cad_corr_refresh_seconds (an exact
-// refresh's pre-pass), cad_tsg_build_seconds (the round's one sweep over
-// the correlation sums, a refresh's pair sums included),
+// per-stream detector pipeline metrics: cad_tsg_build_seconds (the round's
+// one sweep over the correlation sums, its stripe of exact pair sums
+// included),
 // cad_louvain_seconds{path="warm|cold"},
 // cad_advance_seconds, cad_rounds_total, cad_alarms_total,
 // cad_round_variations, cad_history_mu, cad_history_sigma (all labeled

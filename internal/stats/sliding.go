@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // slidingConstEps is the relative threshold below which a sensor's summed
 // variance is treated as zero. Maintaining variances as w·Σx² − (Σx)² leaves
@@ -22,44 +18,46 @@ const slidingConstEps = 1e-12
 // catastrophic cancellation a raw-sum formulation suffers on data with a
 // large offset). The pair sums are symmetric, so only the upper triangle,
 // diagonal included, is stored: n(n+1)/2 values, packed row by row.
-// Correlations are derived on demand, row by row through Rows or as a full
-// matrix through Corr.
+// Correlations are derived on demand, row by row through a view
+// (StripeRows) or as a full matrix through Corr.
 //
 // A window step can be applied at once (Slide) or recorded (Defer) and
-// applied later, either by Apply or by a Rows view that slides each
+// applied later, either by Apply or by a view that slides each
 // triangle row just before deriving it, so a round that reads the
 // correlations passes over the triangle once however many columns it
 // consumed. Both leave the bits of one Slide per step.
 //
 // Floating-point drift accumulates in the sums as columns slide through, at
-// roughly one ulp per update. Callers bound it by refreshing periodically
-// (the Streamer sums its first round's window exactly and refreshes every
-// Config.RefreshEvery rounds after), which recomputes the sums exactly and
-// re-anchors ref to the current window; between refreshes the derived
-// correlations stay within ~1e-12 of the exact two-pass values, comfortably
-// inside the 1e-9 contract the incremental detection path tests against.
-// A RefreshRows view sums each row just before deriving it, so a refresh
-// round too passes over the triangle once.
+// roughly one ulp per update. Callers bound it by re-summing rows exactly
+// from the window: a StripeRows view sums a stripe of rows exactly, its
+// sensors' ref re-anchored to the window, and slides the rest in the same
+// sweep. The Streamer sums every row on its first round and one stripe per
+// round after, so each cell is re-summed once every Config.RefreshEvery
+// rounds; in between the derived correlations stay within ~1e-12 of the
+// exact two-pass values, comfortably inside the 1e-9 contract the
+// incremental detection path tests against.
 //
 // A SlidingCorr is not safe for concurrent use, except that a view may
 // derive distinct rows concurrently.
 type SlidingCorr struct {
 	n, w  int
 	count int       // columns currently summed (≤ w)
-	ref   []float64 // per-sensor shift, anchored at first Push and each Refresh
+	ref   []float64 // per-sensor shift, anchored at first Push and each exact re-sum
 	sx    []float64 // Σ (x_i − ref_i) per sensor
 	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen)
 	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of a view, 0 if constant
 	row   []float64 // scratch: one derived correlation row, for Corr
 	dev   []float64 // scratch: Slide's one pending step
-	// A view: pend holds the steps its rows still apply, rsx the sums with
-	// all of them applied; a refresh view (buf set) sums its rows instead
-	// from refDev, the deviations (sensor i's at refDev[i·count:]) in buf.
-	pend     []float64
-	rsx      []float64
-	buf      *[]float64
-	refDev   []float64
-	unsummed atomic.Int64
+	// A view: pend holds the steps its slid rows still apply, rsx the
+	// sums as of the view. Its stripe, rows [lo, hi), is summed from the
+	// window win instead, whose oldest column sits at slot oldest;
+	// shift[j−lo] is ref_j's move when the view re-anchored stripe sensor
+	// j, which the slid rows' cells in column j take on.
+	pend           []float64
+	rsx            []float64
+	win            [][]float64
+	oldest, lo, hi int
+	shift          []float64
 	// corr is the materialized matrix Corr returns, allocated on its first
 	// call and reused after; the round path never builds it.
 	corr [][]float64
@@ -90,15 +88,16 @@ func PackUpper(full []float64, n int) []float64 {
 // NewSlidingCorr returns an empty accumulator for n sensors and window w.
 func NewSlidingCorr(n, w int) *SlidingCorr {
 	return &SlidingCorr{
-		n:   n,
-		w:   w,
-		ref: make([]float64, n),
-		sx:  make([]float64, n),
-		sxy: make([]float64, PackedLen(n)),
-		inv: make([]float64, n),
-		row: make([]float64, n),
-		dev: make([]float64, 0, 2*n),
-		rsx: make([]float64, n),
+		n:     n,
+		w:     w,
+		ref:   make([]float64, n),
+		sx:    make([]float64, n),
+		sxy:   make([]float64, PackedLen(n)),
+		inv:   make([]float64, n),
+		row:   make([]float64, n),
+		dev:   make([]float64, 0, 2*n),
+		rsx:   make([]float64, n),
+		shift: make([]float64, n),
 	}
 }
 
@@ -150,10 +149,9 @@ func (c *SlidingCorr) Slide(newCol, oldCol []float64) {
 // deviations from the shift reference of newCol (entering) and then of
 // oldCol (leaving) to pend and returns the extended slice. A pending list
 // of m steps is 2·m·n values, step k's entering deviations at
-// pend[2k·n:(2k+1)·n] and its leaving ones right after. Apply, or a Rows
-// view swept row by row, applies it; a refresh makes it void, since the
-// window it rebuilds from already holds every pending column and the
-// deviations are taken against the reference a refresh replaces.
+// pend[2k·n:(2k+1)·n] and its leaving ones right after. Apply, or a view
+// swept row by row, applies it; on a view's stripe rows it is void, since
+// the window they are summed from already holds every pending column.
 func (c *SlidingCorr) Defer(pend, newCol, oldCol []float64) []float64 {
 	for _, col := range [2][]float64{newCol, oldCol} {
 		for i, x := range col[:c.n] {
@@ -185,14 +183,29 @@ func (c *SlidingCorr) slidSum(i int, pend []float64) float64 {
 // slideRow applies the pending steps to triangle row i in place. Each cell
 // receives the steps in order as d_ij += n_i·n_j − o_i·o_j, Slide's
 // arithmetic, so the cell ends up with the bits that many Slides leave;
-// two steps go through the row per pass, which halves its loads and
-// stores. Only the row's own cells are written, so distinct rows may be
+// up to four steps go through the row per pass, so an S=4 round loads and
+// stores each cell once. Only the row's own cells are written, so distinct rows may be
 // slid concurrently.
 func (c *SlidingCorr) slideRow(i int, pend []float64) {
 	n := c.n
 	row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
 	step := 2 * n
 	k := 0
+	for ; k+4*step <= len(pend); k += 4 * step {
+		n0, o0 := pend[k+i : k+n][:len(row)], pend[k+n+i : k+step][:len(row)]
+		n1, o1 := pend[k+step+i : k+step+n][:len(row)], pend[k+step+n+i : k+2*step][:len(row)]
+		n2, o2 := pend[k+2*step+i : k+2*step+n][:len(row)], pend[k+2*step+n+i : k+3*step][:len(row)]
+		n3, o3 := pend[k+3*step+i : k+3*step+n][:len(row)], pend[k+3*step+n+i : k+4*step][:len(row)]
+		a0, b0, a1, b1 := n0[0], o0[0], n1[0], o1[0]
+		a2, b2, a3, b3 := n2[0], o2[0], n3[0], o3[0]
+		for t, v := range row {
+			v += a0*n0[t] - b0*o0[t]
+			v += a1*n1[t] - b1*o1[t]
+			v += a2*n2[t] - b2*o2[t]
+			v += a3*n3[t] - b3*o3[t]
+			row[t] = v
+		}
+	}
 	for ; k+2*step <= len(pend); k += 2 * step {
 		n0, o0 := pend[k+i : k+n][:len(row)], pend[k+n+i : k+step][:len(row)]
 		n1, o1 := pend[k+step+i : k+step+n][:len(row)], pend[k+step+n+i : k+2*step][:len(row)]
@@ -229,109 +242,140 @@ func (c *SlidingCorr) Refresh(rows [][]float64) {
 	for i, v := 0, c.RefreshRows(rows); i < c.n; i++ {
 		v.UpperRow(i, c.row)
 	}
+	c.win = nil
 }
 
-// devBufs recycles a refresh view's n×w deviation scratch, so an
-// accumulator keeps no window-sized buffer between refreshes.
-var devBufs = sync.Pool{New: func() any { return new([]float64) }}
-
-// RefreshRows is Rows for an exact refresh from the window's rows, rows[i]
-// sensor i's in time order. Its O(n·w) pre-pass re-anchors ref to the
-// window's first column, sets the count and Σd, writes the deviations into
-// pooled scratch and takes the norms from the summed diagonal; deriving
-// row i first sums its pair sums. Every sum runs from zero in time order,
-// Push's order, so once every row is read the sums hold the bits w Pushes
-// into an empty accumulator leave and the scratch is back in the pool.
-// Pending steps (see Defer) are void: the window holds their columns.
+// RefreshRows is StripeRows with every row in the stripe, over a window
+// whose rows[i] is sensor i's readings in time order: a view that sums
+// every pair sum exactly as it derives the row. Every sum runs from zero
+// in time order, Push's order, so once every row is read the sums hold
+// the bits w Pushes into an empty accumulator leave.
 func (c *SlidingCorr) RefreshRows(rows [][]float64) CorrRows {
-	n := c.n
-	if n == 0 {
-		c.count = 0
-		return CorrRows{c} // no row to sum, so no scratch to take
+	return c.StripeRows(nil, rows, 0, 0, c.n)
+}
+
+// Rows is StripeRows with an empty stripe: a view that only applies the
+// pending steps pend (see Defer, nil for none).
+func (c *SlidingCorr) Rows(pend []float64) CorrRows {
+	return c.StripeRows(pend, nil, 0, 0, 0)
+}
+
+// StripeRows prepares one round of correlation reads: rows [lo, hi), the
+// stripe, are summed exactly from the window, and every other row is
+// slid by the pending steps pend (see Defer, nil for none). win holds the
+// window in a ring: sensor i's readings are win[i], oldest at slot oldest,
+// in time order from there round to the slot before it. Nothing is
+// copied; the view reads win in place.
+//
+// An O(n·S + (hi−lo)·w) pre-pass computes each sensor's deviation sum and,
+// from its diagonal pair sum, its inverse norm, writing no pair sum: a
+// slid sensor's from its slid sums, a stripe sensor's summed exactly after
+// re-anchoring its ref to the window's oldest reading. The returned view
+// then derives the strict upper triangle of the correlation matrix one
+// row at a time, in the sums' storage order, so no n×n matrix is built.
+// Deriving row i first brings its pair sums up to date in place: a stripe
+// row sums every cell exactly, its pending steps void since the window
+// holds their columns; any other row applies its pending steps and then
+// moves each cell whose column sensor j was re-anchored into j's new
+// frame, sxy_ij += (ref_j − ref_j′)·Σd_i, which is exact in real
+// arithmetic. Each row is read once, and At is read before the rows it
+// touches are. A view stays valid until the accumulator next changes or a
+// view is prepared again.
+//
+// With an empty stripe the sums end as Apply(pend) leaves them. With
+// every row in it they end as the window's columns pushed into an empty
+// accumulator leave them, whatever they held before: a Streamer's first
+// round. Sliding a stream through rounds whose stripes cover every row
+// once per cycle re-sums each cell exactly once per cycle.
+func (c *SlidingCorr) StripeRows(pend []float64, win [][]float64, oldest, lo, hi int) CorrRows {
+	c.pend, c.win, c.oldest, c.lo, c.hi = pend, win, oldest, lo, hi
+	if lo < hi {
+		c.count = len(win[0])
 	}
-	w := len(rows[0])
-	c.count = w
-	if c.buf == nil {
-		c.buf = devBufs.Get().(*[]float64)
-	}
-	if cap(*c.buf) < n*w {
-		*c.buf = make([]float64, n*w)
-	}
-	c.refDev = (*c.buf)[:n*w]
-	for i, ri := range rows[:n] {
-		var ref, s, ss float64
-		if w > 0 {
-			ref = ri[0]
+	for i := 0; i < c.n; i++ {
+		if i < lo || i >= hi {
+			c.norm(i, c.slidSum(i, pend), c.slidCell(i, i, pend))
+			continue
 		}
+		xi := win[i]
+		var ref float64
+		if len(xi) > 0 {
+			ref = xi[oldest]
+		}
+		c.shift[i-lo] = c.ref[i] - ref
 		c.ref[i] = ref
-		di := c.refDev[i*w : (i+1)*w]
-		for u, x := range ri[:w] {
-			di[u] = x - ref
-			s += di[u]
-			ss += di[u] * di[u]
-		}
-		c.sx[i] = s
+		s, ss := devSums(xi[oldest:], ref, 0, 0)
+		s, ss = devSums(xi[:oldest], ref, s, ss)
 		c.norm(i, s, ss)
 	}
-	c.unsummed.Store(int64(n))
 	return CorrRows{c}
 }
 
-// sumRow writes row i's pair sums from the refresh view's deviations, each
-// cell dot's sum of its two rows, four cells at a time so each of sensor
-// i's deviations is loaded once per four products. The partner rows are
-// resliced to len(di) so the inner loops carry no bounds checks.
+// devSums adds to s and ss the deviations of xs from ref and their
+// squares, in order.
+func devSums(xs []float64, ref, s, ss float64) (float64, float64) {
+	for _, x := range xs {
+		d := x - ref
+		s += d
+		ss += d * d
+	}
+	return s, ss
+}
+
+// inStripe reports whether sensor i's row is summed exactly by the view.
+func (c *SlidingCorr) inStripe(i int) bool { return c.lo <= i && i < c.hi }
+
+// sumRow writes row i's pair sums exactly from the window: each cell is
+// Σ (x_i − ref_i)(x_j − ref_j) from zero in time order, the window's ring
+// read as its two spans. Four cells go at a time, so each of sensor i's
+// readings is loaded once per four products. The partner rows are
+// resliced to the span of i's so the inner loop carries no bounds checks.
 func (c *SlidingCorr) sumRow(i int) {
-	n, w, dev := c.n, c.count, c.refDev
-	di := dev[i*w : (i+1)*w]
+	n, win, ref := c.n, c.win, c.ref
+	xi, ri := win[i], ref[i]
+	spans := [2][2]int{{c.oldest, len(xi)}, {0, c.oldest}}
 	row := c.sxy[rowStart(n, i) : rowStart(n, i)+n-i]
 	j := i
 	for ; j+4 <= n; j += 4 {
-		d0 := dev[j*w : (j+1)*w][:len(di)]
-		d1 := dev[(j+1)*w : (j+2)*w][:len(di)]
-		d2 := dev[(j+2)*w : (j+3)*w][:len(di)]
-		d3 := dev[(j+3)*w : (j+4)*w][:len(di)]
+		r0, r1, r2, r3 := ref[j], ref[j+1], ref[j+2], ref[j+3]
 		var s0, s1, s2, s3 float64
-		for u, a := range di {
-			s0 += a * d0[u]
-			s1 += a * d1[u]
-			s2 += a * d2[u]
-			s3 += a * d3[u]
+		for _, sp := range spans {
+			a := xi[sp[0]:sp[1]]
+			x0 := win[j][sp[0]:sp[1]][:len(a)]
+			x1 := win[j+1][sp[0]:sp[1]][:len(a)]
+			x2 := win[j+2][sp[0]:sp[1]][:len(a)]
+			x3 := win[j+3][sp[0]:sp[1]][:len(a)]
+			for u, x := range a {
+				d := x - ri
+				s0 += d * (x0[u] - r0)
+				s1 += d * (x1[u] - r1)
+				s2 += d * (x2[u] - r2)
+				s3 += d * (x3[u] - r3)
+			}
 		}
 		row[j-i], row[j-i+1], row[j-i+2], row[j-i+3] = s0, s1, s2, s3
 	}
 	for ; j < n; j++ {
-		row[j-i] = dot(di, dev[j*w:(j+1)*w])
+		row[j-i] = c.exact(i, j)
 	}
 }
 
-// dot returns Σ a[u]·b[u] summed in order from zero.
-func dot(a, b []float64) float64 {
-	b = b[:len(a)]
-	var s float64
-	for u, x := range a {
-		s += x * b[u]
+// exact returns pair sum (i, j) summed from the window as sumRow sums it.
+func (c *SlidingCorr) exact(i, j int) float64 {
+	w := len(c.win[i])
+	return c.dot(c.dot(0, i, j, c.oldest, w), i, j, 0, c.oldest)
+}
+
+// dot adds to s the deviation products of sensors i and j over window
+// slots [a, b), in slot order.
+func (c *SlidingCorr) dot(s float64, i, j, a, b int) float64 {
+	xi := c.win[i][a:b]
+	xj := c.win[j][a:b][:len(xi)]
+	ri, rj := c.ref[i], c.ref[j]
+	for u, x := range xi {
+		s += (x - ri) * (xj[u] - rj)
 	}
 	return s
-}
-
-// Rows prepares one round of correlation reads from the current sums with
-// the pending steps pend (see Defer, nil for none) applied. A pre-pass
-// computes every sensor's slid deviation sum and, from the slid diagonal,
-// its inverse norm; it writes no sum. The returned view then derives the
-// strict upper triangle of the correlation matrix one row at a time, in
-// the sums' storage order, so no n×n matrix is built. Deriving row i
-// first applies pend to that row's pair sums and to sensor i's deviation
-// sum, in place, so a view over pending steps is a single sweep: each row
-// is read once, and At is read before the rows it touches are. Once every
-// row is read the sums hold the bits Apply(pend) leaves. A view stays
-// valid until the accumulator next changes or a view is prepared again.
-func (c *SlidingCorr) Rows(pend []float64) CorrRows {
-	c.pend, c.buf, c.refDev = pend, nil, nil
-	for i := 0; i < c.n; i++ {
-		c.norm(i, c.slidSum(i, pend), c.slidCell(i, i, pend))
-	}
-	return CorrRows{c}
 }
 
 // norm records sensor i's deviation sum sx for a view and, from it and
@@ -349,29 +393,35 @@ func (c *SlidingCorr) norm(i int, sx, ss float64) {
 	}
 }
 
-// CorrRows is one round's read view of a SlidingCorr; see SlidingCorr.Rows
-// and SlidingCorr.RefreshRows.
+// CorrRows is one round's read view of a SlidingCorr; see
+// SlidingCorr.StripeRows.
 type CorrRows struct{ c *SlidingCorr }
 
 // UpperRow writes the correlations r(i, j) for j = i+1, …, n−1 into
 // dst[:n−1−i] and returns that slice, with the same conventions as
 // PearsonMatrix: values are clamped to [-1, 1], and every pair involving a
-// constant (zero-variance) sensor is 0. Row i's pending steps are applied
-// first, or a refresh view sums the row first, the last one summed
-// returning the scratch. Calls for distinct rows may run concurrently.
+// constant (zero-variance) sensor is 0. Row i's pair sums are brought up
+// to date first (see StripeRows). Calls for distinct rows may run
+// concurrently.
 func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 	c := r.c
 	n := c.n
-	if c.buf != nil {
+	if c.inStripe(i) {
 		c.sumRow(i)
-		if c.unsummed.Add(-1) == 0 {
-			devBufs.Put(c.buf)
-			c.buf, c.refDev = nil, nil
+	} else {
+		if len(c.pend) > 0 {
+			c.slideRow(i, c.pend)
 		}
-	} else if len(c.pend) > 0 {
-		c.slideRow(i, c.pend)
-		c.sx[i] = c.rsx[i]
+		if i < c.lo {
+			start := rowStart(n, i) - i
+			row := c.sxy[start+c.lo : start+c.hi]
+			si := c.rsx[i]
+			for t, d := range c.shift[:len(row)] {
+				row[t] += d * si
+			}
+		}
 	}
+	c.sx[i] = c.rsx[i]
 	dst = dst[:n-1-i]
 	inv := c.inv[i+1 : n]
 	if c.inv[i] == 0 {
@@ -394,18 +444,20 @@ func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 }
 
 // At returns the single correlation r(i, j), i < j: the value UpperRow(i)
-// derives for j, bit for bit, provided row i has not been read yet (on a
-// refresh view, from the dot product UpperRow(i) sums for the cell).
+// derives for j, bit for bit, provided row i has not been read yet.
 func (r CorrRows) At(i, j int) float64 {
 	c := r.c
 	if c.inv[i] == 0 || c.inv[j] == 0 {
 		return 0
 	}
 	var s float64
-	if w := c.count; c.buf != nil {
-		s = dot(c.refDev[i*w:(i+1)*w], c.refDev[j*w:(j+1)*w])
+	if c.inStripe(i) {
+		s = c.exact(i, j)
 	} else {
 		s = c.slidCell(i, j, c.pend)
+		if c.inStripe(j) {
+			s += c.shift[j-c.lo] * c.rsx[i]
+		}
 	}
 	return pearson(float64(c.count), s, c.rsx[i], c.rsx[j], c.inv[i], c.inv[j])
 }

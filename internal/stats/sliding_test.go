@@ -384,41 +384,160 @@ func TestSlidingCorrRefreshMatchesPush(t *testing.T) {
 	}
 }
 
-// TestSlidingCorrRefreshReturnsScratch: once every row of a refresh view
-// is read, serially or from several goroutines at once, the accumulator
-// holds no deviation scratch, so a stream keeps no n×w buffer between
-// rounds. A refresh over empty windows zeroes every sum, as no Push does.
-func TestSlidingCorrRefreshReturnsScratch(t *testing.T) {
+// TestSlidingCorrViewsAllocateNothing: preparing a view and reading every
+// At and row of it allocates nothing, whether it sums every row exactly
+// (a stream's first round) or a stripe of them beside slid rows, so no
+// accumulator holds a window-sized buffer. A full view over empty windows
+// zeroes every sum, as no Push does.
+func TestSlidingCorrViewsAllocateNothing(t *testing.T) {
 	const n, w = 40, 16
 	rng := rand.New(rand.NewSource(5))
 	rows := randomRows(rng, n, w)
 	c := NewSlidingCorr(n, w)
 	c.Refresh(rows)
-	if c.buf != nil || c.refDev != nil {
-		t.Fatal("Refresh kept its deviation scratch")
+	pend := c.Defer(nil, randomRows(rng, 1, n)[0], randomRows(rng, 1, n)[0])
+	buf := make([]float64, n)
+	read := func(v CorrRows) {
+		for i := 0; i+1 < n; i++ {
+			v.At(i, n-1)
+		}
+		for i := 0; i < n; i++ {
+			v.UpperRow(i, buf)
+		}
+	}
+	for name, view := range map[string]func() CorrRows{
+		"full":   func() CorrRows { return c.StripeRows(nil, rows, 5, 0, n) },
+		"stripe": func() CorrRows { return c.StripeRows(pend, rows, 5, 12, 19) },
+	} {
+		if allocs := testing.AllocsPerRun(10, func() { read(view()) }); allocs != 0 {
+			t.Errorf("%s view: %v allocations per round, want 0", name, allocs)
+		}
 	}
 	empty := NewSlidingCorr(n, 0)
 	empty.Push(randomRows(rng, 1, n)[0])
 	empty.Refresh(randomRows(rng, n, 0))
 	sameState(t, "empty windows", empty, NewSlidingCorr(n, 0))
-	if empty.buf != nil {
-		t.Fatal("a refresh over empty windows kept its scratch")
+}
+
+// ringOf returns rows rotated so that the oldest reading, rows[i][0],
+// sits at slot oldest: the layout of a window ring.
+func ringOf(rows [][]float64, oldest int) [][]float64 {
+	ring := make([][]float64, len(rows))
+	for i, r := range rows {
+		ring[i] = make([]float64, len(r))
+		for u, x := range r {
+			ring[i][(oldest+u)%len(r)] = x
+		}
 	}
-	view := c.RefreshRows(rows)
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float64, n)
-			for i := g; i < n; i += 4 {
-				view.UpperRow(i, buf)
+	return ring
+}
+
+// TestSlidingCorrStripeRows: a stripe view over pending steps, read with
+// its rows split across goroutines, leaves every stripe row's sums equal,
+// bit for bit, to an exact re-sum of the window in the view's frame, the
+// stripe sensors' ref re-anchored to the window's oldest reading, and
+// every other row's within rounding of it after the slides and the
+// re-anchoring's column moves. Every At taken before the sweep equals what
+// UpperRow derives for the pair. Stripes cover none, some and all rows,
+// with the window's oldest column mid-ring.
+func TestSlidingCorrStripeRows(t *testing.T) {
+	const w, S = 24, 4
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 4, 5, 32, 97} {
+		newCol := func() []float64 {
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = 1e3*float64(i%7) + rng.NormFloat64()
 			}
-		}()
+			if n > 2 {
+				col[1] = 5 // constant
+				col[2] = -col[0]
+			}
+			return col
+		}
+		cols := make([][]float64, 0, w+S+8)
+		for range w + 8 {
+			cols = append(cols, newCol())
+		}
+		base := NewSlidingCorr(n, w)
+		base.Refresh(windowRows(cols[:w], n, w))
+		for k := w; k < w+8; k++ { // some slid history before the round
+			base.Slide(cols[k], cols[k-w])
+		}
+		for _, st := range [][2]int{{0, 0}, {0, n}, {n / 3, n / 2}, {n / 2, n}, {0, (n + 1) / 2}} {
+			lo, hi := st[0], max(st[1], st[0])
+			what := fmt.Sprintf("n=%d stripe [%d,%d)", n, lo, hi)
+			c := clone(base)
+			all := cols
+			var pend []float64
+			for range S {
+				all = append(all, newCol())
+				pend = c.Defer(pend, all[len(all)-1], all[len(all)-1-w])
+			}
+			win := windowRows(all, n, w)
+			oldest := len(all) % w
+			view := c.StripeRows(pend, ringOf(win, oldest), oldest, lo, hi)
+			at := make([][]float64, n)
+			for i := range at {
+				at[i] = make([]float64, n)
+				for j := i + 1; j < n; j++ {
+					at[i][j] = view.At(i, j)
+				}
+			}
+			got := make([][]float64, n)
+			var wg sync.WaitGroup
+			for g := range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]float64, n)
+					for i := g; i < n; i += 3 {
+						got[i] = append([]float64(nil), view.UpperRow(i, buf)...)
+					}
+				}()
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				for t0, r := range got[i] {
+					if j := i + 1 + t0; math.Float64bits(at[i][j]) != math.Float64bits(r) {
+						t.Fatalf("%s: r(%d,%d): UpperRow %v, At %v", what, i, j, r, at[i][j])
+					}
+				}
+			}
+			ref, sx, sxy, count := c.State()
+			if count != w {
+				t.Fatalf("%s: count %d", what, count)
+			}
+			for i := 0; i < n; i++ {
+				if lo <= i && i < hi && ref[i] != win[i][0] {
+					t.Fatalf("%s: stripe sensor %d ref %v, want the oldest reading %v", what, i, ref[i], win[i][0])
+				}
+				var s float64
+				for _, x := range win[i] {
+					s += x - ref[i]
+				}
+				checkSum(t, what, fmt.Sprintf("Σd_%d", i), sx[i], s, lo <= i && i < hi)
+				for j := i; j < n; j++ {
+					var e float64
+					for u := range win[i] {
+						e += (win[i][u] - ref[i]) * (win[j][u] - ref[j])
+					}
+					checkSum(t, what, fmt.Sprintf("sxy(%d,%d)", i, j), sxy[rowStart(n, i)+j-i], e, lo <= i && i < hi)
+				}
+			}
+		}
 	}
-	wg.Wait()
-	if c.buf != nil || c.refDev != nil {
-		t.Fatal("a refresh view read by four goroutines kept its deviation scratch")
+}
+
+// checkSum fails unless got equals the exact re-sum want: bit for bit if
+// exact, else within rounding of the sums' magnitude.
+func checkSum(t *testing.T, what, cell string, got, want float64, exact bool) {
+	t.Helper()
+	if exact && math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: %s = %v, exact re-sum %v", what, cell, got, want)
+	}
+	if d := math.Abs(got - want); d > 1e-6 {
+		t.Fatalf("%s: %s = %v, off the exact re-sum %v by %g", what, cell, got, want, d)
 	}
 }
 
@@ -516,8 +635,9 @@ func TestSlidingCorrSweepMatchesSlides(t *testing.T) {
 }
 
 // BenchmarkSlidingCorrRefresh times one exact refresh of an n=1000, w=64
-// window, read serially; a streaming round sums it inside the TSG
-// repair's sweep instead (BenchmarkStreamerRound/refresh).
+// window, read serially; a stream's first round sums it inside the TSG
+// repair's sweep instead (BenchmarkStreamerRound/refresh refreshes every
+// round).
 func BenchmarkSlidingCorrRefresh(b *testing.B) {
 	const n, w = 1000, 64
 	rows := randomRows(rand.New(rand.NewSource(1)), n, w)

@@ -69,14 +69,12 @@ type Incremental struct {
 	spareOff, spareNbr []int
 	rev                reverse
 
-	// sel[u] is u's committed top-K selection sorted by neighbor id
-	// (weights included, pre-τ-pruning). own.next[u] is the selection the
-	// current Repair builds; once the sweep is over it is sorted by id and
-	// swapped with sel. Both are carved out of fixed n·K backing arrays,
-	// so the steady state allocates nothing.
-	sel [][]edge
 	// own is the calling goroutine's candidate sets, into which the other
-	// sweep goroutines' sets are merged.
+	// sweep goroutines' sets are merged. Between Repairs own.next[u] is
+	// u's selection sorted by neighbor id (weights included, pre-τ-pruning):
+	// a Repair reads it for u's seed floor, then refills it. The sets are
+	// carved out of one fixed n·K backing array, so the steady state
+	// allocates nothing.
 	own cands
 	// helpers are the other goroutines of a split sweep, each with its own
 	// sets. They are allocated the first time a Repair splits that wide
@@ -186,7 +184,6 @@ func newIncremental(b Builder, n int) *Incremental {
 		n:        n,
 		g:        &Graph{off: make([]int, n+1)},
 		spareOff: make([]int, n+1),
-		sel:      newSets(n, b.K),
 		own:      newCands(n, b.K),
 	}
 }
@@ -220,11 +217,11 @@ func (inc *Incremental) Repair(corr Triangle) (structural int) {
 func (inc *Incremental) repair(corr Triangle, workers int) (structural int) {
 	n, own, sw := inc.n, &inc.own, &inc.sweep
 	for u := 0; u < n; u++ {
-		own.next[u] = own.next[u][:0]
 		own.floor[u] = inc.seedFloor(u, corr)
+		own.next[u] = own.next[u][:0]
 	}
 	sw.corr = corr
-	sw.chunks = splitRows(sw.chunks, n, workers*sweepChunks)
+	sw.chunks = SplitRows(sw.chunks, n, workers*sweepChunks)
 	sw.next.Store(0)
 	extra := min(workers, len(sw.chunks)-1) - 1
 	for len(inc.helpers) < extra {
@@ -263,7 +260,6 @@ func (inc *Incremental) repair(corr Triangle, workers int) (structural int) {
 	inc.g.off, inc.g.nbr = inc.spareOff, inc.spareNbr
 	structural = inc.g.link(own.next, inc.b.Tau, &inc.rev, oldOff, oldNbr)
 	inc.spareOff, inc.spareNbr = oldOff, oldNbr
-	inc.sel, own.next = own.next, inc.sel
 	return structural
 }
 
@@ -286,13 +282,14 @@ func (c *cands) sweep(corr Triangle, lo, hi int) {
 }
 
 // seedFloor returns the weakest current |correlation| between u and its K
-// previous neighbors, or −1 when u has no full previous selection. u's K
+// previous neighbors, or −1 when u has no full previous selection. It
+// reads the previous selection, so it runs before u's set is refilled. u's K
 // strongest candidates are at least as strong as any K of them, so no offer
 // below this value can enter; and with correlations drifting slowly between
 // rounds it sits close to the new K-th, which keeps most offers off the
 // insertion path.
 func (inc *Incremental) seedFloor(u int, corr Triangle) float64 {
-	prev := inc.sel[u]
+	prev := inc.own.next[u]
 	if len(prev) < inc.b.K {
 		return -1
 	}
@@ -336,12 +333,14 @@ func (c *cands) offer(u, v int, w float64) {
 	}
 }
 
-// splitRows splits the rows of an n-row packed triangle, diagonal included,
+// SplitRows splits the rows of an n-row packed triangle, diagonal included,
 // into at most blocks runs of consecutive rows holding about equal numbers
 // of cells. It appends the run boundaries to bounds[:0] and returns it:
 // run b is rows [bounds[b], bounds[b+1]). Every run is non-empty, except
-// the single one of an empty triangle.
-func splitRows(bounds []int, n, blocks int) []int {
+// the single one of an empty triangle. Beyond one block per cell every
+// row is a run of its own, so blocks is capped there.
+func SplitRows(bounds []int, n, blocks int) []int {
+	blocks = min(blocks, n*(n+1)/2)
 	bounds = append(bounds[:0], 0)
 	for i, cells := 0, 0; i < n; i++ {
 		cells += n - i

@@ -523,10 +523,17 @@ func TestSlidingCorrRefreshConcurrent(t *testing.T) {
 
 // TestSplitRows: the runs cover the rows in order, none is empty, there
 // are at most the asked-for number, and their cell counts are about equal.
+// Asked for at least one run per cell, or for more runs than an int's
+// products of cell counts can hold, every row is a run of its own.
 func TestSplitRows(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 100, 1000} {
+		for _, blocks := range []int{stats.PackedLen(n), math.MaxInt} {
+			if b := SplitRows(nil, n, blocks); len(b) != max(n, 1)+1 || b[len(b)-1] != n {
+				t.Fatalf("n=%d blocks=%d: bounds %v, want one run per row", n, blocks, b)
+			}
+		}
 		for _, blocks := range []int{1, 2, 3, 7, 2*n + 1} {
-			b := splitRows(nil, n, blocks)
+			b := SplitRows(nil, n, blocks)
 			if b[0] != 0 || b[len(b)-1] != n || len(b)-1 > max(blocks, 1) {
 				t.Fatalf("n=%d blocks=%d: bounds %v", n, blocks, b)
 			}
