@@ -2,12 +2,13 @@ GO ?= go
 
 # ci is the tier-1 gate: formatting, vet, static analysis, build (the bench
 # module included), the full test suite under the race detector (the serve
-# concurrency tests only mean something with -race), the fault-injection
-# suite, the pinned-seed fault schedule, the alert-delivery
-# suite, a short run of every fuzz target, the scenario-corpus quality gate, the fleet-replay acceptance gate,
-# and the sharded-cluster equivalence gate.
+# concurrency tests only mean something with -race), the off-heap
+# allocator's pointer checks, the fault-injection suite, the pinned-seed
+# fault schedule, the alert-delivery suite, a short run of every fuzz
+# target, the scenario-corpus quality gate, the fleet-replay acceptance
+# gate, and the sharded-cluster equivalence gate.
 .PHONY: ci
-ci: fmt vet staticcheck build benchbuild race faulttest crashtest alerttest benchsmoke fuzzsmoke scenariotest fleettest clustertest
+ci: fmt vet staticcheck build benchbuild race checkptr faulttest crashtest alerttest benchsmoke fuzzsmoke scenariotest fleettest clustertest
 
 .PHONY: fmt
 fmt:
@@ -54,6 +55,13 @@ test:
 .PHONY: race
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# checkptr runs the off-heap allocator and its users with the compiler's
+# pointer checks on. `make race` builds the allocator's heap fallback, so
+# the unsafe conversions of its mmap path are checked only here.
+.PHONY: checkptr
+checkptr:
+	$(GO) test -gcflags=all=-d=checkptr ./internal/offheap/ ./internal/stats/ ./internal/core/
 
 # faulttest runs the fault-injection suite: the filesystem seam, the WAL's
 # torn-tail repair, the manager's degraded-mode and quarantine paths, the

@@ -96,12 +96,12 @@ import (
 	"syscall"
 	"time"
 
-	"cad"
 	"cad/internal/alert"
 	"cad/internal/cluster"
 	"cad/internal/core"
 	"cad/internal/fleet"
 	"cad/internal/manager"
+	"cad/internal/mts"
 	"cad/internal/obs"
 	"cad/internal/serve"
 )
@@ -187,10 +187,10 @@ func loadConfigFile(path string) (core.Config, error) {
 // the warmed detector for the default stream (split from run so tests can
 // exercise it without binding a socket).
 func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64) (*core.Detector, error) {
-	var history *cad.Series
+	var history *mts.MTS
 	if warmup != "" {
 		var err error
-		history, err = cad.LoadCSV(warmup)
+		history, err = mts.LoadCSV(warmup)
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", warmup, err)
 		}
@@ -220,7 +220,7 @@ func setup(sensors int, warmup, cfgFile string, w, s, k int, tau, theta float64)
 		cfg.Tau = tau
 		cfg.Theta = theta
 		if w > 0 && s > 0 {
-			cfg.Window = cad.Windowing{W: w, S: s}
+			cfg.Window = mts.Windowing{W: w, S: s}
 		}
 		if k > 0 {
 			cfg.K = k

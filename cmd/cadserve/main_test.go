@@ -11,15 +11,15 @@ import (
 	"testing"
 	"time"
 
-	"cad"
 	"cad/internal/core"
+	"cad/internal/mts"
 	"cad/internal/serve"
 )
 
 func writeWarmup(t *testing.T, path string, sensors, length int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	s := cad.ZeroSeries(sensors, length)
+	s := mts.Zeros(sensors, length)
 	for tick := 0; tick < length; tick++ {
 		a := math.Sin(2 * math.Pi * float64(tick) / 25)
 		for i := 0; i < sensors; i++ {

@@ -295,7 +295,9 @@ func (d *Detector) stream(t *mts.MTS, what string) ([]RoundReport, error) {
 			return nil, fmt.Errorf("%w: sensor %d at time point %d of the %s", ErrBadReading, i, p, what)
 		}
 	}
-	reps, err := NewStreamer(d).PushSeries(t)
+	sr := NewStreamer(d)
+	defer sr.Release()
+	reps, err := sr.PushSeries(t)
 	if err != nil {
 		return nil, fmt.Errorf("cad: %s: %w", what, err)
 	}

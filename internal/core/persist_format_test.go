@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -300,6 +301,8 @@ func sameSums(t *testing.T, got, want *stats.SlidingCorr) {
 			}
 		}
 	}
+	runtime.KeepAlive(got) // State's slices are freed with got and want
+	runtime.KeepAlive(want)
 }
 
 // FuzzLoadStreamer feeds LoadStreamer valid version-2, version-3 and

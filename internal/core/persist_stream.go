@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -109,7 +110,9 @@ func (s *Streamer) SaveState(w io.Writer) error {
 		s.applyPending()
 		st.AccRef, st.AccSX, sxy, st.AccCount = s.acc.State()
 	}
-	if err := writeStreamerSnapshot(w, &st, s.ring, sxy); err != nil {
+	err := writeStreamerSnapshot(w, &st, s.ring, sxy)
+	runtime.KeepAlive(s) // the ring and the sums are freed with s
+	if err != nil {
 		return fmt.Errorf("cad: save streamer: %w", err)
 	}
 	return nil
@@ -204,7 +207,7 @@ type snapshotReader interface {
 // The next Push continues exactly where the saved streamer stopped. A
 // reader that does not report its remaining length is read to the end
 // first.
-func LoadStreamer(r io.Reader) (*Streamer, error) {
+func LoadStreamer(r io.Reader) (_ *Streamer, err error) {
 	src, ok := r.(snapshotReader)
 	if !ok {
 		raw, err := io.ReadAll(r)
@@ -236,6 +239,11 @@ func LoadStreamer(r io.Reader) (*Streamer, error) {
 		}
 	}
 	s := NewStreamer(det)
+	defer func() {
+		if err != nil {
+			s.Release()
+		}
+	}()
 	s.pos = st.Pos
 	s.filled = st.Filled
 	s.pending = st.Pending

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"cad/internal/mts"
+	"cad/internal/offheap"
 	"cad/internal/stats"
 	"cad/internal/tsg"
 )
@@ -23,15 +24,22 @@ import (
 // the correlations and selects the TSG. The same sweep re-sums one stripe
 // of rows exactly from the ring, which bounds the updates' drift.
 //
+// The ring and the accumulator's pair-sum triangle live off the Go heap
+// (package offheap); Release frees them, and so do their finalizers once
+// an unreleased streamer is unreachable. A method that reads them through
+// a local slice after its last use of the streamer therefore keeps the
+// streamer alive to the end (runtime.KeepAlive).
+//
 // A Streamer is not safe for concurrent use.
 type Streamer struct {
 	det *Detector
 	// ring holds the trailing w columns: ring[i][p] is sensor i's reading
-	// at ring slot p. pos is the next write slot, which is also the oldest
-	// column once the ring has filled.
-	ring   [][]float64
-	pos    int
-	filled int
+	// at ring slot p, backed by ringBlk. pos is the next write slot, which
+	// is also the oldest column once the ring has filled.
+	ring    [][]float64
+	ringBlk *offheap.Block
+	pos     int
+	filled  int
 	// pending counts columns received since the last *successful* round (or
 	// since start, for the first round).
 	pending int
@@ -68,7 +76,8 @@ type Streamer struct {
 func NewStreamer(det *Detector) *Streamer {
 	n, w := det.Sensors(), det.cfg.Window.W
 	ring := make([][]float64, n)
-	backing := make([]float64, n*w)
+	blk := offheap.New(n * w)
+	backing := blk.Floats()
 	for i := range ring {
 		ring[i] = backing[i*w : (i+1)*w]
 	}
@@ -79,6 +88,7 @@ func NewStreamer(det *Detector) *Streamer {
 	s := &Streamer{
 		det:          det,
 		ring:         ring,
+		ringBlk:      blk,
 		base:         det.round * det.cfg.Window.S,
 		acc:          stats.NewSlidingCorr(n, w),
 		pend:         make([]float64, 0, 2*det.cfg.Window.S*n),
@@ -88,6 +98,18 @@ func NewStreamer(det *Detector) *Streamer {
 	}
 	s.round = s.processCorr
 	return s
+}
+
+// Release frees the ring and the correlation triangle, which live off the
+// Go heap, and leaves the wrapped detector alone. An owner that drops a
+// streamer calls it, so the memory returns at once rather than at some
+// later garbage collection (their finalizers are only the backstop). A
+// Push after Release panics instead of touching freed memory. Releasing
+// twice is harmless.
+func (s *Streamer) Release() {
+	s.ringBlk.Free()
+	s.ring = nil
+	s.acc.Release()
 }
 
 // Detector returns the wrapped detector.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cad/internal/mts"
+	"cad/internal/offheap"
 	"cad/internal/simulator"
 	"cad/internal/stats"
 )
@@ -322,12 +323,14 @@ func TestStreamerRetryKeepsTimeAttribution(t *testing.T) {
 }
 
 // TestStreamerMemoryGuard bounds everything an exact n=1000 stream allocates
-// from construction through its first two rounds: the packed pair sums
-// (n(n+1)/2 floats, 4.0 MB), the ring, the TSG and two cold Louvain runs,
-// about 5.0 MB in all, plus about 90 kB of candidate sets per helper
-// goroutine of the round's sweep (two at n=1000 with eight processors).
-// Any n×n float64 matrix on this path would add another 8 MB. The bound
-// holds at GOMAXPROCS 1, 2 and 8, since the sweep's split follows it.
+// from construction through its first two rounds, on the Go heap and off
+// it: the packed pair sums (n(n+1)/2 floats, 4.0 MB) and the ring, which
+// are mapped off the heap and counted from offheap.Bytes, the TSG and two
+// cold Louvain runs, about 5.0 MB in all, plus about 90 kB of candidate
+// sets per helper goroutine of the round's sweep (two at n=1000 with eight
+// processors). Any n×n float64 matrix on this path would add another
+// 8 MB. The bound holds at GOMAXPROCS 1, 2 and 8, since the sweep's split
+// follows it.
 func TestStreamerMemoryGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1000-sensor stream")
@@ -340,6 +343,7 @@ func TestStreamerMemoryGuard(t *testing.T) {
 		cols[p] = series.Column(p, nil)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	offheap.Settle() // so no earlier test's block is unmapped while it counts
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		det, err := NewDetector(n, cfg)
@@ -348,6 +352,7 @@ func TestStreamerMemoryGuard(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		mapped := offheap.Bytes()
 		sr := NewStreamer(det)
 		rounds := 0
 		for _, col := range cols {
@@ -360,10 +365,12 @@ func TestStreamerMemoryGuard(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
+		mapped = offheap.Bytes() - mapped
+		sr.Release()
 		if rounds != 2 {
 			t.Fatalf("%d rounds completed, want 2", rounds)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		if got := after.TotalAlloc - before.TotalAlloc + uint64(mapped); got >= limit {
 			t.Fatalf("GOMAXPROCS %d: streamer allocated %.2f MB over two rounds, want < %.0f MB", procs, float64(got)/1e6, float64(limit)/1e6)
 		}
 	}

@@ -239,6 +239,7 @@ func alarmTrace(inst *scenario.Instance, cfg core.Config) ([]traceEntry, error) 
 		return nil, err
 	}
 	sr := core.NewStreamer(det)
+	defer sr.Release()
 	col := make([]float64, inst.Sensors)
 	var trace []traceEntry
 	for p := 0; p < inst.Series.Len(); p++ {

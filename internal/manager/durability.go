@@ -191,12 +191,14 @@ func (m *Manager) walFailed(st *stream, err error) {
 	}
 }
 
-// dropDurability closes a private stream's WAL after a failed insert.
-func (m *Manager) dropDurability(st *stream) {
+// discard drops a private stream after a failed insert: it closes the
+// stream's WAL and releases its streamer.
+func (m *Manager) discard(st *stream) {
 	if st.wal != nil {
 		_ = st.wal.Close()
 		st.wal = nil
 	}
+	st.streamer.Release()
 }
 
 // degrade records that durability was lost. Ingest keeps serving from

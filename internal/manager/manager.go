@@ -49,6 +49,7 @@ import (
 	"cad/internal/faultfs"
 	"cad/internal/fleet"
 	"cad/internal/obs"
+	"cad/internal/offheap"
 	"cad/internal/wal"
 )
 
@@ -200,6 +201,7 @@ type Manager struct {
 	walDirDirty atomic.Bool
 
 	resident    *obs.Gauge
+	offheapG    *obs.Gauge
 	evictions   *obs.Counter
 	restores    *obs.Counter
 	snapFails   *obs.Counter
@@ -296,6 +298,8 @@ func New(o Options) *Manager {
 		streams: make(map[string]*stream),
 		resident: o.Registry.Gauge("cad_streams_resident",
 			"Streams currently resident in the manager registry."),
+		offheapG: o.Registry.Gauge("cad_offheap_bytes",
+			"Bytes of the process's streams mapped outside the Go heap: each stream's correlation triangle and window ring. Runtime memory statistics do not count them."),
 		evictions: o.Registry.Counter("cad_stream_evictions_total",
 			"Streams evicted to a snapshot (LRU capacity or idle TTL)."),
 		restores: o.Registry.Counter("cad_stream_restores_total",
@@ -416,7 +420,7 @@ func (m *Manager) Create(id string, sensors int, cfg core.Config) (restored bool
 		m.initGenesis(st, sensors, cfg)
 	}
 	if err := m.insert(st); err != nil {
-		m.dropDurability(st)
+		m.discard(st)
 		return false, err
 	}
 	return false, nil
@@ -446,7 +450,7 @@ func (m *Manager) Adopt(id string, det *core.Detector) error {
 		m.initDurability(st)
 	}
 	if err := m.insert(st); err != nil {
-		m.dropDurability(st)
+		m.discard(st)
 		return err
 	}
 	return nil
@@ -504,6 +508,7 @@ func (m *Manager) insert(st *stream) error {
 			m.snapFails.Inc()
 		}
 	}
+	m.offheapG.Set(float64(offheap.Bytes()))
 	return nil
 }
 
@@ -533,6 +538,7 @@ func (m *Manager) evict(st *stream, cutoff time.Time) (bool, error) {
 	err := m.writeSnapshotRetry(st)
 	if err == nil {
 		st.evicted = true
+		st.streamer.Release()
 		// The snapshot now covers everything the WAL held; fold the log so
 		// the next restore replays nothing. Errors are harmless — replay
 		// skips records at or below the snapshot's sequence number.
@@ -556,6 +562,7 @@ func (m *Manager) evict(st *stream, cutoff time.Time) (bool, error) {
 	}
 	m.mu.Unlock()
 	m.evictions.Inc()
+	m.offheapG.Set(float64(offheap.Bytes()))
 	return true, nil
 }
 
@@ -607,6 +614,8 @@ func (m *Manager) Delete(id string) error {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		st.evicted = true
+		st.streamer.Release()
+		m.offheapG.Set(float64(offheap.Bytes()))
 		if st.wal != nil {
 			_ = st.wal.Close()
 			st.wal = nil

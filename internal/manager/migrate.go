@@ -219,7 +219,7 @@ func (m *Manager) Import(exp StreamExport) (int, error) {
 		m.initDurability(st)
 	}
 	if err := m.insert(st); err != nil {
-		m.dropDurability(st)
+		m.discard(st)
 		return 0, err
 	}
 	return replayed, nil

@@ -272,7 +272,7 @@ func (m *Manager) restore(id string) (*stream, int, error) {
 		}
 	}
 	if err := m.insert(st); err != nil {
-		m.dropDurability(st)
+		m.discard(st)
 		if errors.Is(err, ErrExists) {
 			// Another goroutine restored it first; use theirs.
 			if cur := m.residentStream(id); cur != nil {

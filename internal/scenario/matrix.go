@@ -128,6 +128,7 @@ func Evaluate(inst *Instance, cfg core.Config) (Cell, []bool, error) {
 		return Cell{}, nil, err
 	}
 	sr := core.NewStreamer(det)
+	defer sr.Release()
 	tr := core.NewTracker(cfg)
 	pred := make([]bool, inst.Series.Len())
 	col := make([]float64, inst.Sensors)

@@ -55,6 +55,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE cad_history_mu gauge",
 		"# TYPE cad_history_sigma gauge",
 		"# TYPE cad_streams_resident gauge",
+		"# TYPE cad_offheap_bytes gauge",
 		`http_requests_total{code="200",method="POST",path="/ingest"} 120`,
 		`http_request_duration_seconds_count{path="/ingest"} 120`,
 		"cad_ingest_decode_seconds_count 120",

@@ -1,6 +1,11 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"runtime"
+
+	"cad/internal/offheap"
+)
 
 // slidingConstEps is the relative threshold below which a sensor's summed
 // variance is treated as zero. Maintaining variances as w·Σx² − (Σx)² leaves
@@ -37,6 +42,13 @@ const slidingConstEps = 1e-12
 // exact two-pass values, comfortably inside the 1e-9 contract the
 // incremental detection path tests against.
 //
+// The triangle is the accumulator's bulk, 4 MB at n=1000, and lives for
+// the accumulator's lifetime, so it is allocated off the Go heap
+// (offheap.New) and Release frees it. Should the accumulator become
+// unreachable unreleased, the block's finalizer frees it, so a method
+// that reads the triangle through a local slice after its last use of the
+// accumulator keeps the accumulator alive to the end (runtime.KeepAlive).
+//
 // A SlidingCorr is not safe for concurrent use, except that a view may
 // derive distinct rows concurrently.
 type SlidingCorr struct {
@@ -44,7 +56,8 @@ type SlidingCorr struct {
 	count int       // columns currently summed (≤ w)
 	ref   []float64 // per-sensor shift, anchored at first Push and each exact re-sum
 	sx    []float64 // Σ (x_i − ref_i) per sensor
-	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen)
+	sxy   []float64 // Σ d_i·d_j for j ≥ i, packed upper triangle (see PackedLen), in blk
+	blk   *offheap.Block
 	inv   []float64 // 1/√(count·Σd² − (Σd)²) per sensor as of a view, 0 if constant
 	row   []float64 // scratch: one derived correlation row, for Corr
 	dev   []float64 // scratch: Slide's one pending step
@@ -87,18 +100,27 @@ func PackUpper(full []float64, n int) []float64 {
 
 // NewSlidingCorr returns an empty accumulator for n sensors and window w.
 func NewSlidingCorr(n, w int) *SlidingCorr {
+	blk := offheap.New(PackedLen(n))
 	return &SlidingCorr{
 		n:     n,
 		w:     w,
 		ref:   make([]float64, n),
 		sx:    make([]float64, n),
-		sxy:   make([]float64, PackedLen(n)),
+		sxy:   blk.Floats(),
+		blk:   blk,
 		inv:   make([]float64, n),
 		row:   make([]float64, n),
 		dev:   make([]float64, 0, 2*n),
 		rsx:   make([]float64, n),
 		shift: make([]float64, n),
 	}
+}
+
+// Release frees the pair-sum triangle. Any later use of the accumulator
+// that reads or writes the sums panics on their nil slice.
+func (c *SlidingCorr) Release() {
+	c.blk.Free()
+	c.sxy, c.win = nil, nil
 }
 
 // Sensors returns n.
@@ -168,6 +190,7 @@ func (c *SlidingCorr) Apply(pend []float64) {
 		c.sx[i] = c.slidSum(i, pend)
 		c.slideRow(i, pend)
 	}
+	runtime.KeepAlive(c)
 }
 
 // slidSum returns sensor i's deviation sum with the pending steps applied,
@@ -440,6 +463,7 @@ func (r CorrRows) UpperRow(i int, dst []float64) []float64 {
 		}
 		dst[t] = v
 	}
+	runtime.KeepAlive(c)
 	return dst
 }
 
@@ -511,7 +535,8 @@ func (c *SlidingCorr) Corr() [][]float64 {
 // reference, the per-sensor deviation sums, the packed pair-sum triangle
 // (PackedLen(n) values), and the column count. The returned slices alias
 // internal storage; callers must copy or encode them before mutating the
-// accumulator.
+// accumulator, and keep the accumulator reachable while they read them,
+// since the triangle is freed with it.
 func (c *SlidingCorr) State() (ref, sx, sxy []float64, count int) {
 	return c.ref, c.sx, c.sxy, c.count
 }

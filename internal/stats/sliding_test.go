@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -267,6 +268,7 @@ func TestSlidingCorrPackedMatchesFullLayout(t *testing.T) {
 				t.Fatalf("step %d: sensor %d sums differ", step, i)
 			}
 		}
+		runtime.KeepAlive(c) // State's slices are freed with c
 	}
 }
 
@@ -355,6 +357,8 @@ func sameState(t *testing.T, what string, a, b *SlidingCorr) {
 			}
 		}
 	}
+	runtime.KeepAlive(a) // State's slices are freed with a and b
+	runtime.KeepAlive(b)
 }
 
 // TestSlidingCorrRefreshMatchesPush: Refresh over a window leaves exactly
@@ -525,6 +529,7 @@ func TestSlidingCorrStripeRows(t *testing.T) {
 					checkSum(t, what, fmt.Sprintf("sxy(%d,%d)", i, j), sxy[rowStart(n, i)+j-i], e, lo <= i && i < hi)
 				}
 			}
+			runtime.KeepAlive(c) // State's slices are freed with c
 		}
 	}
 }
@@ -545,6 +550,7 @@ func checkSum(t *testing.T, what, cell string, got, want float64, exact bool) {
 func clone(c *SlidingCorr) *SlidingCorr {
 	d := NewSlidingCorr(c.n, c.w)
 	d.SetState(c.State())
+	runtime.KeepAlive(c) // State's slices are freed with c
 	return d
 }
 

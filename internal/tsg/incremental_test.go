@@ -438,6 +438,7 @@ func refreshRound(inc *Incremental, acc *stats.SlidingCorr, rows [][]float64, wo
 			}
 		}
 	}
+	runtime.KeepAlive(acc) // State's slices are freed with acc
 	batch, err := inc.b.FromCorrelation(serial.Corr())
 	if err != nil {
 		return err
